@@ -419,10 +419,7 @@ class TruncatedSeries:
         for k in range(n + 1):
             acc = ring.zero
             for i in range(k + 1):
-                x, y = a[i], b[k - i]
-                if ring.is_zero(x) or ring.is_zero(y):
-                    continue
-                acc = ring.add(acc, ring.mul(x, y))
+                acc = ring.add(acc, ring.mul(a[i], b[k - i]))
             out.append(acc)
         return TruncatedSeries._make(ring, tuple(out))
 
@@ -435,10 +432,7 @@ class TruncatedSeries:
         for k in range(1, self.prec + 1):
             acc = ring.zero
             for i in range(1, k + 1):
-                x = self.coeffs[i]
-                if ring.is_zero(x) or ring.is_zero(inv[k - i]):
-                    continue
-                acc = ring.add(acc, ring.mul(x, inv[k - i]))
+                acc = ring.add(acc, ring.mul(self.coeffs[i], inv[k - i]))
             inv.append(ring.neg(acc))
         return TruncatedSeries._make(ring, tuple(inv))
 
@@ -459,24 +453,28 @@ class TruncatedSeries:
     def nth_root(self, n: int) -> "TruncatedSeries":
         """The series q with q**n == self and constant term 1.
 
-        Computed degree by degree; the degree-k step divides by n in the
-        coefficient ring and raises IntegralityError (carrying the degree)
-        when no exact root exists.
+        One pass of the power recurrence (Knuth, TAOCP vol. 2, 4.7)
+        n*k*q_k = sum_{i=1..k} ((n+1)*i - n*k)*s_i*q_{k-i}.  Over a torsion-free
+        ring its right side is k times the residual s_k - [t^k](q_0..q_{k-1})^n,
+        so the division by n*k fails exactly where that residual is not
+        divisible by n; IntegralityError carries that degree k.
         """
         if n <= 0:
             raise ValueError("root index must be a positive integer")
         ring = self.ring
-        if not ring.eq(self.coeffs[0], ring.one):
+        s = self.coeffs
+        if not ring.eq(s[0], ring.one):
             raise ValueError("series n-th root requires constant term 1")
         if n == 1:
             return self
         root = [ring.one]
         for k in range(1, self.prec + 1):
-            partial = TruncatedSeries._make(ring, tuple(root) + (ring.zero,))
-            attained = partial.pow_int(n).coeffs[k]
-            residual = ring.sub(self.coeffs[k], attained)
+            acc = ring.zero
+            for i in range(1, k + 1):
+                term = ring.mul(s[i], root[k - i])
+                acc = ring.add(acc, ring.scalar_mul(term, (n + 1) * i - n * k))
             try:
-                root.append(ring.divide_exact(residual, n))
+                root.append(ring.divide_exact(acc, n * k))
             except IntegralityError as exc:
                 raise IntegralityError(
                     f"series has no exact {n}-th root: failure at degree {k}", degree=k

@@ -7,13 +7,13 @@ inversion.  The ghost coordinates of P are the coefficients b1..bN of
 t*P'/P; sending P to its ghost vector turns Witt addition and Witt
 multiplication into pointwise operations, which is how multiplication and
 Frobenius are computed here: move to ghost coordinates, operate pointwise,
-and invert the ghost map by the Newton recursion
+and move back.  Both ways run the identity P*B = t*P' at degree n,
 
-    n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1.
+    n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1,
 
-The recursion divides by n in A at the n-th step, so inversion is exact
-precisely over rings with exact division by positive integers; that is the
-``divide_exact`` operation of ``wittzeta.rings.Ring``.
+solved for bn by the ghost map and for an by its inverse, the Newton
+recursion, which divides by n in A: inversion is exact precisely over rings
+with exact division by positive integers (``wittzeta.rings.Ring.divide_exact``).
 
 ``WittRing`` packages W_N(A) itself as such a ring (division by n is an
 n-th root of the series), so the whole construction nests: Witt vectors
@@ -207,13 +207,17 @@ def witt_scale(p: WittVector, k: int) -> WittVector:
 
 
 def ghost(p: WittVector) -> GhostVector:
-    """Ghost coordinates: b1..bN read off from t*P'/P."""
+    """Ghost coordinates b1..bN of t*P'/P, by one pass of the recurrence
+    bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1) read off from P*B = t*P'."""
     ring = p.ring
-    numer = TruncatedSeries._make(
-        ring, tuple(ring.scalar_mul(c, k) for k, c in enumerate(p.series.coeffs))
-    )
-    quotient = numer * p.series.inverse()
-    return GhostVector(ring, quotient.coeffs[1:])
+    a = p.series.coeffs
+    b = []
+    for n in range(1, len(a)):
+        acc = ring.zero
+        for i in range(1, n):
+            acc = ring.add(acc, ring.mul(a[i], b[n - 1 - i]))
+        b.append(ring.sub(ring.scalar_mul(a[n], n), acc))
+    return GhostVector(ring, b)
 
 
 def ghost_inverse(g: GhostVector) -> WittVector:
@@ -230,8 +234,6 @@ def ghost_inverse(g: GhostVector) -> WittVector:
     for n in range(1, len(b) + 1):
         acc = b[n - 1]
         for i in range(1, n):
-            if ring.is_zero(a[i]) or ring.is_zero(b[n - 1 - i]):
-                continue
             acc = ring.add(acc, ring.mul(a[i], b[n - 1 - i]))
         try:
             a.append(ring.divide_exact(acc, n))
@@ -339,10 +341,6 @@ class WittRing(Ring):
 
     def eq(self, x: WittVector, y: WittVector) -> bool:
         return x == y
-
-    def is_zero(self, x: WittVector) -> bool:
-        ring = self.coeff_ring
-        return all(ring.is_zero(c) for c in x.coeffs)
 
     def scalar_mul(self, x: WittVector, k: int) -> WittVector:
         return witt_scale(x, k)

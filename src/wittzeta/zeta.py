@@ -45,11 +45,13 @@ def zeta_from_counts(counts: PointCounts, prec: int) -> WittVector:
             required=prec,
         )
     try:
-        return ghost_inverse(GhostVector(ZZ, counts.counts[:prec]))
+        zeta = ghost_inverse(GhostVector(ZZ, counts.counts[:prec]))
     except IntegralityError as exc:
         raise InconsistentCountsError(
             f"counts are not the point counts of a variety: {exc}", degree=exc.degree
         ) from exc
+    closed_point_degree_counts(counts, prec)
+    return zeta
 
 
 def mobius(n: int) -> int:
@@ -139,6 +141,7 @@ def sym_power_counts(counts: PointCounts, n: int, rmax: int) -> PointCounts:
                 f"counts are inconsistent at Sym^{n}, r={r}: {exc}", degree=exc.degree
             ) from exc
         out.append(w.coefficient(n))
+    closed_point_degree_counts(counts, n * rmax)
     return PointCounts(counts.q, tuple(out))
 
 
@@ -184,50 +187,40 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _cancel_common_linear(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Strip common factors (1 - c*t) with integer c, best effort."""
-    if num.degree < 1 or den.degree < 1:
-        return num, den
-    lead = abs(den.leading())
-    if lead > 10**12:
-        return num, den
-    for c in _divisors(lead):
-        for signed in (c, -c):
-            factor = IntPolynomial((1, -signed))
-            while True:
-                qn = num.div_exact(factor)
-                if qn is None:
-                    break
-                qd = den.div_exact(factor)
-                if qd is None:
-                    break
-                num, den = qn, qd
-                if num.degree < 1 or den.degree < 1:
-                    return num, den
-    return num, den
+def _divide_out_linear(
+    polys: tuple[IntPolynomial, ...], lead: int
+) -> tuple[tuple[IntPolynomial, ...], list[tuple[int, int]]] | None:
+    """Divide common factors (1 - c*t) out of polys, for c = d, -d and each
+    divisor d of lead in increasing order, as often as every poly allows.
 
-
-def _factor_reciprocal_roots(poly: IntPolynomial) -> list[tuple[int, int]] | None:
-    """Write poly as a product of (1 - c*t) factors, or None if it is not one."""
-    if poly.degree == 0:
-        return []
-    lead = abs(poly.leading())
+    Returns the quotients and the (c, multiplicity) pairs removed, or None
+    when |lead| exceeds 10**12 and the search is not attempted.
+    """
+    lead = abs(lead)
     if lead > 10**12:
         return None
     factors: list[tuple[int, int]] = []
-    rest = poly
-    for c in sorted(_divisors(lead)):
+    for c in _divisors(lead):
         for signed in (c, -c):
             mult = 0
             factor = IntPolynomial((1, -signed))
             while True:
-                q = rest.div_exact(factor)
-                if q is None:
+                quotients = tuple(p.div_exact(factor) for p in polys)
+                if None in quotients:
                     break
-                rest = q
+                polys = quotients
                 mult += 1
             if mult:
                 factors.append((signed, mult))
+    return polys, factors
+
+
+def _factor_reciprocal_roots(poly: IntPolynomial) -> list[tuple[int, int]] | None:
+    """Write poly as a product of (1 - c*t) factors, or None if it is not one."""
+    found = _divide_out_linear((poly,), poly.leading())
+    if found is None:
+        return None
+    (rest,), factors = found
     if rest != IntPolynomial((1,)):
         return None
     return factors
@@ -263,7 +256,9 @@ class RationalFunction:
         num, den = self.num, self.den
         if num.coefficient(0) != 1 or den.coefficient(0) != 1:
             raise ValueError("numerator and denominator must have constant term 1")
-        num, den = _cancel_common_linear(num, den)
+        found = _divide_out_linear((num, den), den.leading())
+        if found is not None:
+            (num, den), _ = found
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -162,6 +162,15 @@ def test_exit_code_3_on_integrality_failure(capsys):
     assert error["degree"] == 2
 
 
+def test_exit_code_3_on_negative_closed_point_count(capsys):
+    # N_1 = 5, N_2 = 1 over F_4 passes the Newton steps but leaves -2 closed points of degree 2
+    code, out, err = run_cli(capsys, "zeta", "--spec", '{"type":"counts","q":4,"counts":[5,1]}', "-N", "2")
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "integrality-failure"
+    assert error["degree"] == 2
+
+
 def test_exit_code_4_on_budget(capsys, monkeypatch):
     monkeypatch.setenv("WITTZETA_ENUM_BUDGET", "10")
     spec = '{"type":"equations","p":5,"vars":["x","y"],"polys":["y^2 - x^3 - x"]}'

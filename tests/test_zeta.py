@@ -138,6 +138,15 @@ def test_sym_power_counts_rejects_inconsistent_tables():
         sym_power_counts(PointCounts(2, (1, 2)), 2, 1)
 
 
+def test_count_tables_with_negative_closed_point_counts_are_rejected():
+    # integral ghosts, but -2 closed points of degree 2
+    counts = PointCounts(4, (5, 1))
+    for route in (lambda: zeta_from_counts(counts, 2), lambda: sym_power_counts(counts, 2, 1)):
+        with pytest.raises(InconsistentCountsError) as info:
+            route()
+        assert info.value.degree == 2
+
+
 def test_sym_zeta_of_elliptic_matches_brute_ghosts():
     z = sym_zeta(E, 2, 2)
     assert ghost(z).coords == (24, 832)
