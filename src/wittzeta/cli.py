@@ -61,6 +61,8 @@ def _parse_json(text: str, what: str) -> Any:
         return json.loads(_read_argument(text))
     except json.JSONDecodeError as exc:
         raise SpecError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecError(f"{what} is nested too deeply to parse") from exc
 
 
 def _as_int(value: Any, what: str) -> int:

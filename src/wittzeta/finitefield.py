@@ -20,11 +20,11 @@ from .rings import IntPolynomial
 
 DEFAULT_ENUM_BUDGET = 1 << 24
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, exact below psi_13 = 3317044064679887385961981."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -452,7 +452,10 @@ def parse_polynomial(text: str, varnames: Sequence[str]) -> MultiPoly:
             return node
         raise SpecError(f"unexpected end of polynomial {text!r}")
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError as exc:
+        raise SpecError("polynomial is nested too deeply to parse") from exc
     if pos != len(tokens):
         raise SpecError(f"trailing tokens in polynomial {text!r}")
     return result

@@ -24,6 +24,7 @@ from .finitefield import (
     DEFAULT_ENUM_BUDGET,
     FiniteField,
     MultiPoly,
+    count_affine_points,
     is_prime,
     iter_affine_solutions,
     parse_polynomial,
@@ -251,10 +252,8 @@ def point_counts(spec: VarietySpec, rmax: int, budget: int = DEFAULT_ENUM_BUDGET
         return PointCounts(spec.q, spec.counts[:rmax])
     if isinstance(spec, EquationsSpec):
         nvars = len(spec.variables)
-        out = []
-        for r in range(1, rmax + 1):
-            field = FiniteField(spec.p, r)
-            out.append(sum(1 for _ in iter_affine_solutions(spec.polys, nvars, field, budget)))
+        out = [count_affine_points(spec.polys, nvars, FiniteField(spec.p, r), budget)
+               for r in range(1, rmax + 1)]
         return PointCounts(spec.p, tuple(out))
     raise SpecError(f"not a variety spec: {spec!r}")
 

@@ -295,43 +295,36 @@ class RationalFunction:
         return f"({self.num.render('t')})/({self.den.render('t')})"
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of rows*x = rhs (free variables zero), or None."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivot_rows: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[rank])]
-        pivot_rows.append((rank, col))
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][-1] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row, col in pivot_rows:
-        solution[col] = aug[row][-1]
-    return solution
+def _shortest_recurrence(seq: Sequence[int]) -> tuple[list[Fraction], int]:
+    """Berlekamp-Massey over Q: the shortest (C, L) with C[0] = 1, deg C <= L
+    and sum_{i<=L} C[i]*seq[j-i] = 0 for every L <= j < len(seq).
+    """
+    conn = [Fraction(1)] + [Fraction(0)] * len(seq)
+    prev, prev_len, prev_disc = conn[:], 0, Fraction(1)
+    length, shift = 0, 1
+    for n in range(len(seq)):
+        disc = sum(conn[i] * seq[n - i] for i in range(length + 1))
+        if disc:
+            saved, factor = conn[:], disc / prev_disc
+            for i in range(prev_len + 1):
+                conn[i + shift] -= factor * prev[i]
+            if 2 * length <= n:
+                prev, prev_len, prev_disc = saved, length, disc
+                length, shift = n + 1 - length, 0
+        shift += 1
+    return conn[: length + 1], length
 
 
 def rational_reconstruct(source: WittVector | TruncatedSeries, dmax: int) -> RationalFunction:
     """Recover num/den with degrees <= dmax from a truncated integer series.
 
-    Searches denominator degrees 0..dmax in increasing order, solving the
-    linear recurrence the series coefficients must satisfy beyond degree
-    dmax; the first denominator that fits (with integer coefficients, ties
-    broken by zeroing free variables) wins, and the result is re-expanded
-    and checked against every known coefficient.  Needs at least 2*dmax+1
-    coefficients, i.e. precision >= 2*dmax.
+    With precision N >= 2*dmax every fraction within the bound that matches
+    c_0..c_N is the same rational function.  Its reduced denominator is the
+    shortest linear recurrence of c_1..c_N (Berlekamp-Massey over Q), and
+    it exists exactly when that recurrence has length <= dmax; c_0 stays
+    out, as deg num = dmax can lengthen the recurrence of c_0..c_N.  The
+    numerator is the first dmax+1 coefficients of den*S, and the result is
+    checked against every known coefficient.  Needs precision >= 2*dmax.
     """
     series = source.series if isinstance(source, WittVector) else source
     if series.ring != ZZ:
@@ -345,23 +338,11 @@ def rational_reconstruct(source: WittVector | TruncatedSeries, dmax: int) -> Rat
             required=2 * dmax,
         )
     c = series.coeffs
-    for k in range(dmax + 1):
-        rows = []
-        rhs = []
-        for j in range(dmax + 1, prec + 1):
-            rows.append([Fraction(c[j - i]) for i in range(1, k + 1)])
-            rhs.append(Fraction(-c[j]))
-        if k == 0:
-            solution: list[Fraction] | None = [] if all(b == 0 for b in rhs) else None
-        else:
-            solution = _solve_exact(rows, rhs)
-        if solution is None:
-            continue
-        if any(v.denominator != 1 for v in solution):
-            continue
-        den = IntPolynomial([1] + [int(v) for v in solution])
+    conn, length = _shortest_recurrence(c[1:])
+    if length <= dmax and all(v.denominator == 1 for v in conn):
+        den = IntPolynomial([int(v) for v in conn])
         num_coeffs = [
-            sum(den.coefficient(i) * c[j - i] for i in range(0, min(j, k) + 1))
+            sum(den.coefficient(i) * c[j - i] for i in range(min(j, length) + 1))
             for j in range(dmax + 1)
         ]
         candidate = RationalFunction(IntPolynomial(num_coeffs), den)

@@ -149,6 +149,33 @@ def test_exit_code_2_on_malformed_json(capsys):
     assert json.loads(err)["error"]["code"] == "malformed-input"
 
 
+def assert_one_malformed_input_line(code, out, err):
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["code"] == "malformed-input"
+
+
+def test_exit_code_2_on_deeply_nested_product_spec(capsys):
+    spec = '{"type":"affine","dim":1,"q":2}'
+    for _ in range(600):
+        spec = '{"type":"product","factors":[' + spec + "]}"
+    assert_one_malformed_input_line(*run_cli(capsys, "zeta", "--spec", spec, "-N", "2"))
+
+
+@pytest.mark.parametrize(
+    "poly", ["(" * 400 + "x" + ")" * 400, "-" * 5000 + "x"], ids=["parentheses", "unary-minus"]
+)
+def test_exit_code_2_on_deeply_nested_polynomial(capsys, poly):
+    spec = json.dumps({"type": "equations", "p": 2, "vars": ["x"], "polys": [poly]})
+    assert_one_malformed_input_line(*run_cli(capsys, "zeta", "--spec", spec, "-N", "1"))
+
+
+def test_exit_code_2_on_strong_pseudoprime_field_size(capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin to every prime base up to 37
+    spec = '{"type":"affine","dim":1,"q":318665857834031151167461}'
+    assert_one_malformed_input_line(*run_cli(capsys, "zeta", "--spec", spec, "-N", "2"))
+
+
 def test_exit_code_2_on_unknown_spec_type(capsys):
     code, _, err = run_cli(capsys, "zeta", "--spec", '{"type":"weird"}', "-N", "2")
     assert code == 2

@@ -66,6 +66,8 @@ def test_is_prime_large_values():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**32 + 1)
     assert not is_prime(561)
+    # a strong pseudoprime to every prime base up to 37
+    assert not is_prime(399165290221 * 798330580441)
 
 
 @pytest.mark.parametrize(
