@@ -15,8 +15,8 @@ factors.
 
 Exit codes: 0 success, 1 failed check suite, 2 malformed input, 3
 integrality failure (inconsistent counts, non-divisible Newton step), 4
-enumeration budget exceeded, 5 precision shortfall.  The environment
-variable WITTZETA_ENUM_BUDGET overrides the default enumeration budget.
+point-counting budget exceeded, 5 precision shortfall.  The environment
+variable WITTZETA_ENUM_BUDGET overrides the default point-counting budget.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ class ReconstructionError(PrecisionError):
 
 
 class BudgetError(WittZetaError):
-    """A brute-force enumeration would exceed the configured budget."""
+    """A point count would search a space larger than the configured budget."""
 
     def __init__(self, message: str, required: int | None = None, budget: int | None = None):
         super().__init__(message)

@@ -1,4 +1,4 @@
-"""Finite field extensions and brute-force affine point enumeration.
+"""Finite field extensions, affine point enumeration and root counting.
 
 Elements of F_{p^k} are residue polynomials modulo a monic irreducible of
 degree k, stored as length-k tuples of integers in 0..p-1 (ascending
@@ -13,7 +13,7 @@ is deterministic across runs.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetError, SpecError
 from .rings import IntPolynomial
@@ -461,6 +461,20 @@ def parse_polynomial(text: str, varnames: Sequence[str]) -> MultiPoly:
     return result
 
 
+def _check_system(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: int) -> None:
+    """Validate the arity and refuse a search space of more than budget points."""
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    for f in polys:
+        if f.nvars != nvars:
+            raise ValueError("polynomial arity does not match the variable count")
+    required = field.size**nvars
+    if required > budget:
+        raise BudgetError(
+            f"the search space has {required} points, budget is {budget}", required=required, budget=budget
+        )
+
+
 def iter_affine_solutions(
     polys: Sequence[MultiPoly],
     nvars: int,
@@ -471,21 +485,52 @@ def iter_affine_solutions(
 
     Refuses to start if the number of candidate tuples exceeds the budget.
     """
-    if nvars < 1:
-        raise ValueError("need at least one variable")
-    for f in polys:
-        if f.nvars != nvars:
-            raise ValueError("polynomial arity does not match the variable count")
-    required = field.size**nvars
-    if required > budget:
-        raise BudgetError(
-            f"enumeration needs {required} tuples, budget is {budget}",
-            required=required,
-            budget=budget,
-        )
+    _check_system(polys, nvars, field, budget)
     for point in itertools.product(field.elements(), repeat=nvars):
         if all(f.evaluate(field, point) == field.zero for f in polys):
             yield point
+
+
+# --- polynomials over a FiniteField, as trimmed ascending element lists ---
+
+
+def _ftrim(field: FiniteField, a: list) -> list:
+    while a and a[-1] == field.zero:
+        a.pop()
+    return a
+
+
+def _fmul(field: FiniteField, a: list, b: list) -> list:
+    """Product of two trimmed polynomials (a field has no zero divisors)."""
+    if not a or not b:
+        return []
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+def _fmod(field: FiniteField, a: list, m: list) -> list:
+    """Remainder of a modulo a monic m."""
+    r, d = list(a), len(m) - 1
+    while len(r) > d:
+        c = r.pop()
+        if c != field.zero:
+            shift = len(r) - d
+            for i in range(d):
+                r[shift + i] = field.sub(r[shift + i], field.mul(c, m[i]))
+    return _ftrim(field, r)
+
+
+def _fgcd(field: FiniteField, a: list, b: list) -> list:
+    """Monic gcd of a monic or zero a and any b; [] when both are zero."""
+    while b:
+        if b[-1] != field.one:
+            inv = field.inv(b[-1])
+            b = [field.mul(c, inv) for c in b]
+        a, b = b, _fmod(field, a, b)
+    return a
 
 
 def count_affine_points(
@@ -494,5 +539,39 @@ def count_affine_points(
     field: FiniteField,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> int:
-    """Number of solutions of the system over the field, by enumeration."""
-    return sum(1 for _ in iter_affine_solutions(polys, nvars, field, budget))
+    """Number of solutions of the system over the field, by root counting.
+
+    The variable y of least degree stays symbolic: each polynomial is
+    sum_j c_j * y^j.  At each of the q^(n-1) values of the other variables
+    the specialised polynomials share the roots of their monic gcd g, of
+    which F_q holds deg gcd(g, y^q - y); if all vanish, every y counts.
+    The budget caps q^n, the size of the searched space.
+    """
+    _check_system(polys, nvars, field, budget)
+    v = min(range(nvars), key=lambda i: max((e[i] for f in polys for e in f.terms), default=0))
+    q, zero = field.size, MultiPoly(nvars)
+    coeffs = []
+    for f in polys:
+        by_power: dict[int, MultiPoly] = {}
+        for exps, c in f.terms.items():
+            j = min(exps[v], (exps[v] - 1) % (q - 1) + 1)  # y^q = y on F_q, so j < q
+            term = MultiPoly(nvars, {exps[:v] + (0,) + exps[v + 1:]: c % field.p})
+            by_power[j] = by_power.get(j, zero) + term
+        coeffs.append([by_power.get(j, zero) for j in range(max(by_power, default=-1) + 1)])
+    total = 0
+    for rest in itertools.product(field.elements(), repeat=nvars - 1):
+        point = rest[:v] + (field.zero,) + rest[v:]
+        g: list = []
+        for cs in coeffs:
+            g = _fgcd(field, g, _ftrim(field, [c.evaluate(field, point) for c in cs]))
+        if not g:
+            total += q
+        elif len(g) > 1:
+            r = [field.one]  # y^q mod g, by square-and-multiply
+            for bit in bin(q)[2:]:
+                r = _fmod(field, _fmul(field, r, r), g)
+                if bit == "1":
+                    r = _fmod(field, [field.zero] + r, g)
+            h = itertools.zip_longest(r, (field.zero, field.one), fillvalue=field.zero)
+            total += len(_fgcd(field, g, _ftrim(field, [field.sub(a, b) for a, b in h]))) - 1
+    return total

@@ -3,8 +3,8 @@
 Every spec answers "how many points over F_{q^r}" exactly: affine and
 projective spaces by closed formula, elliptic curves by one brute-force
 count over the prime field followed by the trace recursion, products
-pointwise, explicit equation systems by budget-guarded enumeration, and
-user-supplied count tables verbatim.
+pointwise, explicit equation systems by root counting in one variable
+(budget-guarded), and user-supplied count tables verbatim.
 
 The module also hosts the enumeration oracle for symmetric powers: group
 the points over F_{q^{rd}} into Frobenius orbits to count closed points of

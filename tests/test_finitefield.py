@@ -8,6 +8,7 @@ import pytest
 from wittzeta.errors import BudgetError, SpecError
 from wittzeta.finitefield import (
     FiniteField,
+    MultiPoly,
     count_affine_points,
     find_irreducible,
     is_prime,
@@ -230,6 +231,25 @@ def test_enumeration_budget_is_enforced():
         list(iter_affine_solutions([], 2, FiniteField(2, 2), budget=10))
     assert info.value.required == 16
     assert info.value.budget == 10
+
+
+def test_count_budget_is_checked_before_any_evaluation(monkeypatch):
+    polys = [parse_polynomial("y^2 + y - x^3 - x", ("x", "y"))]
+
+    def forbidden(self, field, point):
+        raise AssertionError("evaluated a polynomial before the budget check")
+
+    monkeypatch.setattr(MultiPoly, "evaluate", forbidden)
+    with pytest.raises(BudgetError) as info:
+        count_affine_points(polys, 2, FiniteField(2, 3), budget=63)
+    assert info.value.required == 8**2
+    assert info.value.budget == 63
+
+
+def test_count_budget_equal_to_the_space_is_accepted():
+    polys = [parse_polynomial("y^2 + y - x^3 - x", ("x", "y"))]
+    field = FiniteField(2, 3)
+    assert count_affine_points(polys, 2, field, budget=64) == len(list(iter_affine_solutions(polys, 2, field)))
 
 
 def test_enumeration_solutions_are_actual_zeros():

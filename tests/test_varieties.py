@@ -131,6 +131,16 @@ def test_equations_counts_by_enumeration():
     assert point_counts(line, 3).counts == (2, 4, 8)
 
 
+def test_equations_counts_follow_the_trace_recursion_to_r10():
+    # N_r = 2^r - s_r for the affine part, with s_1 = 2 - N_1 and s_r = a*s_{r-1} - 2*s_{r-2}
+    counts = point_counts(CUBIC, 10).counts
+    a = 2 - counts[0]
+    s_prev, s = 2, a
+    for r in range(1, 11):
+        assert counts[r - 1] == 2**r - s
+        s_prev, s = s, a * s - 2 * s_prev
+
+
 def test_point_counts_rejects_empty_range():
     with pytest.raises(ValueError):
         point_counts(E, 0)
