@@ -7,16 +7,20 @@ machinery in ``wittzeta.varieties`` relies on.
 
 The default modulus for every (p, k) is the lexicographically smallest
 monic irreducible, by ascending coefficient tuple, so field construction
-is deterministic across runs.
+is deterministic across runs; for k >= 2 the search starts at c0 = 1, as
+every candidate with c0 = 0 is divisible by z.  Univariate polynomials
+over a field are lists of its elements, and one toolkit serves both the
+irreducibility test (over F_p) and root counting (over F_q).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator, Sequence
 
 from .errors import BudgetError, SpecError
-from .rings import IntPolynomial
+from .rings import IntPolynomial, binary_power
 
 DEFAULT_ENUM_BUDGET = 1 << 24
 
@@ -75,70 +79,69 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
     raise SpecError(f"{q} is not a prime power")
 
 
-# --- polynomials over F_p, as trimmed ascending int lists ---
+# --- polynomials over a FiniteField, as trimmed ascending element lists ---
 
 
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
+def _ftrim(field: FiniteField, a: list) -> list:
+    while a and a[-1] == field.zero:
         a.pop()
     return a
 
 
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+def _fmul(field: FiniteField, a: list, b: list) -> list:
+    """Product of two trimmed polynomials (a field has no zero divisors)."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [field.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
 
 
-def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """Remainder of a modulo a nonzero m."""
-    r = list(a)
-    inv = pow(m[-1], p - 2, p)
-    while len(r) >= len(m):
-        c = (r[-1] * inv) % p
-        if c:
-            shift = len(r) - len(m)
-            for i, y in enumerate(m):
-                r[shift + i] = (r[shift + i] - c * y) % p
-        r.pop()
-    return _ptrim(r)
+def _fmod(field: FiniteField, a: list, m: list) -> list:
+    """Remainder of a modulo a monic m."""
+    r, d = list(a), len(m) - 1
+    while len(r) > d:
+        c = r.pop()
+        if c != field.zero:
+            shift = len(r) - d
+            for i in range(d):
+                r[shift + i] = field.sub(r[shift + i], field.mul(c, m[i]))
+    return _ftrim(field, r)
 
 
-def _ppowmod(base: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    b = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, b, p), m, p)
-        e >>= 1
-        if e:
-            b = _pmod(_pmul(b, b, p), m, p)
-    return result
+def _fgcd(field: FiniteField, a: list, b: list) -> list:
+    """Monic gcd of a monic or zero a and any b; [] when both are zero."""
+    while b:
+        if b[-1] != field.one:
+            inv = field.inv(b[-1])
+            b = [field.mul(c, inv) for c in b]
+        a, b = b, _fmod(field, a, b)
+    return a
 
 
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    x, y = list(a), list(b)
-    while y:
-        x, y = y, _pmod(x, y, p)
-    if x:
-        inv = pow(x[-1], p - 2, p)
-        x = [(c * inv) % p for c in x]
-    return x
+def _fpowmod(field: FiniteField, a: list, e: int, m: list) -> list:
+    """a^e modulo a monic m of degree >= 1."""
+    return binary_power(a, e, lambda u, v: _fmod(field, _fmul(field, u, v), m), [field.one])
+
+
+def _common_roots(field: FiniteField, m: list, b: list) -> int:
+    """deg gcd(m, b - y) for a monic m."""
+    h = itertools.zip_longest(b, (field.zero, field.one), fillvalue=field.zero)
+    return len(_fgcd(field, m, _ftrim(field, [field.sub(u, v) for u, v in h]))) - 1
 
 
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Monic f of degree >= 1 has no irreducible factor of degree <= deg/2."""
-    k = len(f) - 1
-    b = [0, 1]
-    for _ in range(k // 2):
-        b = _ppowmod(b, p, f, p)
-        g = _pgcd(_ptrim([(c - d) % p for c, d in itertools.zip_longest(b, [0, 1], fillvalue=0)]), f, p)
-        if len(g) - 1 > 0:
+    """Whether a monic f of degree >= 1 over F_p is irreducible: no factor of
+    degree i <= deg/2, i.e. gcd(f, y^(p^i) - y) = 1 for each such i (Ben-Or).
+    """
+    fp = FiniteField._prime(p)
+    m = [(c,) for c in f]
+    b = [fp.zero, fp.one]
+    for _ in range((len(f) - 1) // 2):
+        b = _fpowmod(fp, b, p, m)
+        if _common_roots(fp, m, b):
             return False
     return True
 
@@ -148,13 +151,14 @@ def find_irreducible(p: int, k: int) -> IntPolynomial:
 
     Candidates are ordered by their ascending coefficient tuple
     (c0, ..., c_{k-1}), so the result is deterministic; for k = 1 this is
-    the polynomial z itself.
+    the polynomial z itself.  For k >= 2 every candidate with c0 = 0 is
+    divisible by z, so the search starts at c0 = 1.
     """
     if not is_prime(p):
         raise SpecError(f"{p} is not prime")
     if k < 1:
         raise SpecError("extension degree must be at least 1")
-    for tail in itertools.product(range(p), repeat=k):
+    for tail in itertools.product(range(1 if k > 1 else 0, p), *[range(p)] * (k - 1)):
         f = list(tail) + [1]
         if _is_irreducible(f, p):
             return IntPolynomial(f)
@@ -177,11 +181,11 @@ class FiniteField:
             raise SpecError("extension degree must be at least 1")
         if modulus is None:
             modulus = find_irreducible(p, k)
-        if modulus.degree != k or modulus.leading() != 1:
+        elif modulus.degree != k or modulus.leading() != 1:
             raise SpecError(f"modulus must be monic of degree {k}")
-        if any(not 0 <= c < p for c in modulus.coeffs):
+        elif any(not 0 <= c < p for c in modulus.coeffs):
             raise SpecError("modulus coefficients must be reduced mod p")
-        if not _is_irreducible(list(modulus.coeffs), p):
+        elif not _is_irreducible(list(modulus.coeffs), p):
             raise SpecError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.k = k
@@ -199,6 +203,13 @@ class FiniteField:
                     row = [(c + over * r) % p for c, r in zip(row, rows[0])]
                 rows.append(tuple(row))
         self._red = tuple(rows)
+
+    @classmethod
+    def _prime(cls, p: int) -> "FiniteField":
+        """F_p for a known prime p, without ``__init__`` (internal fast path)."""
+        field = object.__new__(cls)
+        field.p, field.k, field.modulus, field.size, field._red = p, 1, IntPolynomial((0, 1)), p, ()
+        return field
 
     @property
     def zero(self) -> tuple[int, ...]:
@@ -245,14 +256,7 @@ class FiniteField:
         if e < 0:
             x = self.inv(x)
             e = -e
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, x)
-            e >>= 1
-            if e:
-                x = self.mul(x, x)
-        return result
+        return binary_power(x, e, self.mul, self.one)
 
     def inv(self, x: tuple[int, ...]) -> tuple[int, ...]:
         if x == self.zero:
@@ -328,15 +332,7 @@ class MultiPoly:
     def __pow__(self, e: int) -> "MultiPoly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return binary_power(self, e, operator.mul, MultiPoly.constant(self.nvars, 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
@@ -491,48 +487,6 @@ def iter_affine_solutions(
             yield point
 
 
-# --- polynomials over a FiniteField, as trimmed ascending element lists ---
-
-
-def _ftrim(field: FiniteField, a: list) -> list:
-    while a and a[-1] == field.zero:
-        a.pop()
-    return a
-
-
-def _fmul(field: FiniteField, a: list, b: list) -> list:
-    """Product of two trimmed polynomials (a field has no zero divisors)."""
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return out
-
-
-def _fmod(field: FiniteField, a: list, m: list) -> list:
-    """Remainder of a modulo a monic m."""
-    r, d = list(a), len(m) - 1
-    while len(r) > d:
-        c = r.pop()
-        if c != field.zero:
-            shift = len(r) - d
-            for i in range(d):
-                r[shift + i] = field.sub(r[shift + i], field.mul(c, m[i]))
-    return _ftrim(field, r)
-
-
-def _fgcd(field: FiniteField, a: list, b: list) -> list:
-    """Monic gcd of a monic or zero a and any b; [] when both are zero."""
-    while b:
-        if b[-1] != field.one:
-            inv = field.inv(b[-1])
-            b = [field.mul(c, inv) for c in b]
-        a, b = b, _fmod(field, a, b)
-    return a
-
-
 def count_affine_points(
     polys: Sequence[MultiPoly],
     nvars: int,
@@ -567,11 +521,5 @@ def count_affine_points(
         if not g:
             total += q
         elif len(g) > 1:
-            r = [field.one]  # y^q mod g, by square-and-multiply
-            for bit in bin(q)[2:]:
-                r = _fmod(field, _fmul(field, r, r), g)
-                if bit == "1":
-                    r = _fmod(field, [field.zero] + r, g)
-            h = itertools.zip_longest(r, (field.zero, field.one), fillvalue=field.zero)
-            total += len(_fgcd(field, g, _ftrim(field, [field.sub(a, b) for a, b in h]))) - 1
+            total += _common_roots(field, g, _fpowmod(field, [field.zero, field.one], q, g))
     return total

@@ -16,12 +16,33 @@ restricts the library to torsion-free coefficient rings.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import IntegralityError
 
 Element = Any
+
+
+def binary_power(x: Element, e: int, mul: Callable[[Element, Element], Element], one: Element) -> Element:
+    """x to the power e >= 0 under an associative mul with identity one.
+
+    Left-to-right square-and-multiply (von zur Gathen & Gerhard, ch. 4):
+    bit_length(e) - 1 squarings and a product by x for each further set bit.
+    Ring powers, k-fold sums (mul = add, one = zero) and powers modulo a
+    polynomial all run here.
+    """
+    if e < 0:
+        raise ValueError("binary_power needs a nonnegative exponent")
+    if e == 0:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 class Ring(ABC):
@@ -65,15 +86,7 @@ class Ring(ABC):
         """k-fold sum of x, by binary doubling; k may be zero or negative."""
         if k < 0:
             return self.neg(self.scalar_mul(x, -k))
-        acc = self.zero
-        base = x
-        while k:
-            if k & 1:
-                acc = self.add(acc, base)
-            k >>= 1
-            if k:
-                base = self.add(base, base)
-        return acc
+        return binary_power(x, k, self.add, self.zero)
 
     def from_int(self, k: int) -> Element:
         return self.scalar_mul(self.one, k)
@@ -225,15 +238,7 @@ class IntPolynomial:
     def __pow__(self, e: int) -> "IntPolynomial":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = IntPolynomial((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return binary_power(self, e, operator.mul, IntPolynomial((1,)))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -440,15 +445,7 @@ class TruncatedSeries:
         """Integer power; negative exponents invert first (constant term 1)."""
         if e < 0:
             return self.inverse().pow_int(-e)
-        result = TruncatedSeries.one(self.ring, self.prec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return binary_power(self, e, operator.mul, TruncatedSeries.one(self.ring, self.prec))
 
     def nth_root(self, n: int) -> "TruncatedSeries":
         """The series q with q**n == self and constant term 1.

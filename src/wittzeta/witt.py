@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from .errors import IntegralityError, PrecisionError
-from .rings import Ring, TruncatedSeries, ZZ
+from .rings import Ring, TruncatedSeries, ZZ, binary_power
 
 Element = Any
 
@@ -263,19 +263,8 @@ def witt_pow(p: WittVector, e: int) -> WittVector:
     if e == 0:
         return witt_one(p.ring, p.prec)
     g = ghost(p)
-    powered = GhostVector(p.ring, tuple(_ring_pow(p.ring, c, e) for c in g.coords))
+    powered = GhostVector(p.ring, tuple(binary_power(c, e, p.ring.mul, p.ring.one) for c in g.coords))
     return ghost_inverse(powered)
-
-
-def _ring_pow(ring: Ring, x: Element, e: int) -> Element:
-    result = ring.one
-    while e:
-        if e & 1:
-            result = ring.mul(result, x)
-        e >>= 1
-        if e:
-            x = ring.mul(x, x)
-    return result
 
 
 def frobenius(p: WittVector, n: int) -> WittVector:

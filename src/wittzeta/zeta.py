@@ -324,11 +324,14 @@ def rational_reconstruct(source: WittVector | TruncatedSeries, dmax: int) -> Rat
     it exists exactly when that recurrence has length <= dmax; c_0 stays
     out, as deg num = dmax can lengthen the recurrence of c_0..c_N.  The
     numerator is the first dmax+1 coefficients of den*S, and the result is
-    checked against every known coefficient.  Needs precision >= 2*dmax.
+    checked against every known coefficient.  Needs precision >= 2*dmax and
+    c_0 = 1; any other constant term raises ValueError before any work.
     """
     series = source.series if isinstance(source, WittVector) else source
     if series.ring != ZZ:
         raise ValueError("rational reconstruction works over integer series")
+    if series.coeffs[0] != 1:
+        raise ValueError(f"rational reconstruction needs constant term 1, got {series.coeffs[0]}")
     if dmax < 0:
         raise ValueError("degree bound must be nonnegative")
     prec = series.prec

@@ -105,6 +105,14 @@ def test_equations_spec_decodes(capsys):
     assert doc == {"precision": 2, "coeffs": ["4", "10"]}
 
 
+def test_equations_spec_over_a_cubic_extension_tower(capsys):
+    # x^3+x+1 is irreducible over F_2: its three roots lie in F_{2^r} exactly
+    # when 3 | r, so Z = 1/(1 - t^3); -N 20 builds every field up to F_{2^20}.
+    spec = '{"type":"equations","p":2,"vars":["x"],"polys":["x^3+x+1"]}'
+    doc = run_json(capsys, "zeta", "--spec", spec, "-N", "20")
+    assert doc == {"precision": 20, "coeffs": ["1" if n % 3 == 0 else "0" for n in range(1, 21)]}
+
+
 # --- reconstruct ---
 
 

@@ -9,6 +9,7 @@ from wittzeta.errors import BudgetError, SpecError
 from wittzeta.finitefield import (
     FiniteField,
     MultiPoly,
+    _is_irreducible,
     count_affine_points,
     find_irreducible,
     is_prime,
@@ -114,6 +115,103 @@ def test_find_irreducible_returns_lexicographically_first(p, k):
         assert IntPolynomial(candidate) != found
 
 
+# --- the replaced route: Ben-Or's test on int lists mod p (with poly_mod
+# above as its remainder), searched over every candidate ---
+
+
+def _ptrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _ptrim(out)
+
+
+def _ppowmod(base, e, m, p):
+    result = [1]
+    b = poly_mod(base, m, p)
+    while e:
+        if e & 1:
+            result = poly_mod(_pmul(result, b, p), m, p)
+        e >>= 1
+        if e:
+            b = poly_mod(_pmul(b, b, p), m, p)
+    return result
+
+
+def _pgcd(a, b, p):
+    x, y = list(a), list(b)
+    while y:
+        x, y = y, poly_mod(x, y, p)
+    if x:
+        inv = pow(x[-1], p - 2, p)
+        x = [(c * inv) % p for c in x]
+    return x
+
+
+def int_list_is_irreducible(f, p):
+    """gcd(f, y^(p^i) - y) = 1 for i = 1..deg/2, on ints mod p."""
+    k = len(f) - 1
+    b = [0, 1]
+    for _ in range(k // 2):
+        b = _ppowmod(b, p, f, p)
+        g = _pgcd(_ptrim([(c - d) % p for c, d in itertools.zip_longest(b, [0, 1], fillvalue=0)]), f, p)
+        if len(g) - 1 > 0:
+            return False
+    return True
+
+
+def full_search(p, k):
+    """The first irreducible over every candidate, c0 = 0 included."""
+    for tail in itertools.product(range(p), repeat=k):
+        f = list(tail) + [1]
+        if int_list_is_irreducible(f, p):
+            return IntPolynomial(f)
+
+
+ORACLE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 13) if p**k <= 4096]
+
+
+@pytest.mark.parametrize("p,k", ORACLE_FIELDS)
+def test_find_irreducible_matches_the_full_search(p, k):
+    assert find_irreducible(p, k) == full_search(p, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_matches_trial_division(p):
+    for k in range(1, 5):
+        for tail in itertools.product(range(p), repeat=k):
+            f = list(tail) + [1]
+            assert _is_irreducible(f, p) == int_list_is_irreducible(f, p) == brute_irreducible(f, p), f
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_field_accepts_exactly_the_irreducible_moduli(p):
+    for k in (2, 3):
+        for tail in itertools.product(range(p), repeat=k):
+            modulus = IntPolynomial(list(tail) + [1])
+            if brute_irreducible(list(modulus.coeffs), p):
+                assert FiniteField(p, k, modulus).modulus == modulus
+            else:
+                with pytest.raises(SpecError):
+                    FiniteField(p, k, modulus)
+
+
+def test_find_irreducible_degree_24_over_f2():
+    # the largest extension field the default enumeration budget admits
+    assert find_irreducible(2, 24) == IntPolynomial((1,) + (0,) * 19 + (1, 1, 0, 1, 1))
+    assert FiniteField(2, 24).size == 1 << 24
+
+
 def test_find_irreducible_rejects_bad_inputs():
     with pytest.raises(SpecError):
         find_irreducible(4, 2)
@@ -164,6 +262,15 @@ def test_pow_matches_repeated_multiplication():
         for e in range(9):
             assert field.pow(x, e) == acc
             acc = field.mul(acc, x)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
+def test_negative_pow_is_pow_of_the_inverse(p, k):
+    field = FiniteField(p, k)
+    for x in field.elements():
+        if x != field.zero:
+            for e in range(2 * field.size):
+                assert field.pow(x, -e) == field.pow(field.inv(x), e)
 
 
 def test_from_int_reduces_mod_p():

@@ -61,6 +61,8 @@ def reconstruct_by_degree_search(
     series = source.series if isinstance(source, WittVector) else source
     if series.ring != ZZ:
         raise ValueError("rational reconstruction works over integer series")
+    if series.coeffs[0] != 1:
+        raise ValueError(f"rational reconstruction needs constant term 1, got {series.coeffs[0]}")
     if dmax < 0:
         raise ValueError("degree bound must be nonnegative")
     prec = series.prec
@@ -157,6 +159,17 @@ def test_constant_term_kept_out_of_the_recurrence():
     # A recurrence run over c_0..c_N as well would refuse 1 + 3t at dmax=1.
     rf = assert_routes_agree(TruncatedSeries(ZZ, [1, 3, 0]), 1)
     assert rf == (IntPolynomial((1, 3)), IntPolynomial((1,)), "(1+3t)")
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[2, 2, 2, 2, 2, 2, 2], [2, 1, 5, -3, 8, 0, 1], [0, 1, 3, 7, 15, 31, 63], [0, 1, 0, 4, 9, -2, 5]],
+)
+def test_constant_term_other_than_one_is_one_error(coeffs):
+    # 2/(1-t) and t/((1-t)(1-2t)) fit a fraction at dmax=2 and the other two
+    # fit none; all four get the same error, raised before any work.
+    result = assert_routes_agree(TruncatedSeries(ZZ, coeffs), 2)
+    assert result == ("ValueError", f"rational reconstruction needs constant term 1, got {coeffs[0]}", None)
 
 
 @pytest.mark.parametrize("dmax", [12, 30])

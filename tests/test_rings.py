@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wittzeta.errors import IntegralityError
-from wittzeta.rings import IntPolynomial, TruncatedSeries, ZPOLY, ZZ
+from wittzeta.rings import IntPolynomial, Ring, TruncatedSeries, ZPOLY, ZZ, binary_power
 
 
 def convolve(a, b, n):
@@ -199,6 +199,50 @@ def test_scalar_mul_agrees_with_repeated_addition():
         if k < 0:
             acc = -acc
         assert ZZ.scalar_mul(x, k) == acc == x * k
+
+
+class GaussianIntegers(Ring):
+    """A minimal user-defined ring, ZZ[i] on pairs, that keeps the inherited
+    ``scalar_mul`` and ``from_int``."""
+
+    zero, one = (0, 0), (1, 0)
+
+    def add(self, x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    def neg(self, x):
+        return (-x[0], -x[1])
+
+    def mul(self, x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def eq(self, x, y):
+        return x == y
+
+    def divide_exact(self, x, n):
+        raise NotImplementedError
+
+
+@pytest.mark.parametrize("k", list(range(-5, 6)) + [1000])
+def test_inherited_scalar_mul_and_from_int_agree_with_repeated_addition(k):
+    ring = GaussianIntegers()
+    for x in [(0, 0), (1, 0), (3, -2), (-7, 5)]:
+        acc = ring.zero
+        for _ in range(abs(k)):
+            acc = ring.add(acc, x)
+        expected = ring.neg(acc) if k < 0 else acc
+        assert ring.scalar_mul(x, k) == expected == (k * x[0], k * x[1])
+    assert ring.from_int(k) == (k, 0)
+
+
+def test_binary_power_matches_builtin_pow():
+    mul = lambda a, b: a * b  # noqa: E731
+    for x in (-3, 0, 1, 2, 7):
+        for e in range(70):
+            assert binary_power(x, e, mul, 1) == x**e
+    assert binary_power(3, 0, mul, "one") == "one"
+    with pytest.raises(ValueError):
+        binary_power(3, -1, mul, 1)
 
 
 def test_ring_check_rejects_foreign_elements():
