@@ -1,22 +1,26 @@
 """Finite field extensions, affine point enumeration and root counting.
 
-Elements of F_{p^k} are residue polynomials modulo a monic irreducible of
-degree k, stored as length-k tuples of integers in 0..p-1 (ascending
-degree).  Tuples keep elements hashable, which the Frobenius-orbit
-machinery in ``wittzeta.varieties`` relies on.
+An element of F_{p^k} is an int code: the residue c_0 + c_1 z + ... +
+c_{k-1} z^(k-1) modulo a monic irreducible of degree k is the integer
+c_0 + c_1 p + ... + c_{k-1} p^(k-1) in 0..q-1, so ``elements()`` is
+``range(q)``.  Prime fields compute on residues; an extension field
+multiplies, inverts, raises to powers (Frobenius included) and adds by
+exp/log/Zech tables, built on its first such operation in O(q) steps.
 
 The default modulus for every (p, k) is the lexicographically smallest
 monic irreducible, by ascending coefficient tuple, so field construction
 is deterministic across runs; for k >= 2 the search starts at c0 = 1, as
 every candidate with c0 = 0 is divisible by z.  Univariate polynomials
-over a field are lists of its elements, and one toolkit serves both the
-irreducibility test (over F_p) and root counting (over F_q).
+over a field are lists of codes, and one toolkit serves the
+irreducibility test and the table builder (over F_p) and root counting.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+from array import array
 from typing import Iterator, Sequence
 
 from .errors import BudgetError, SpecError
@@ -103,11 +107,11 @@ def _fmod(field: FiniteField, a: list, m: list) -> list:
     """Remainder of a modulo a monic m."""
     r, d = list(a), len(m) - 1
     while len(r) > d:
-        c = r.pop()
+        c = field.neg(r.pop())
         if c != field.zero:
             shift = len(r) - d
             for i in range(d):
-                r[shift + i] = field.sub(r[shift + i], field.mul(c, m[i]))
+                r[shift + i] = field.add(r[shift + i], field.mul(c, m[i]))
     return _ftrim(field, r)
 
 
@@ -137,11 +141,10 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     degree i <= deg/2, i.e. gcd(f, y^(p^i) - y) = 1 for each such i (Ben-Or).
     """
     fp = FiniteField._prime(p)
-    m = [(c,) for c in f]
     b = [fp.zero, fp.one]
     for _ in range((len(f) - 1) // 2):
-        b = _fpowmod(fp, b, p, m)
-        if _common_roots(fp, m, b):
+        b = _fpowmod(fp, b, p, f)
+        if _common_roots(fp, f, b):
             return False
     return True
 
@@ -166,13 +169,19 @@ def find_irreducible(p: int, k: int) -> IntPolynomial:
 
 
 class FiniteField:
-    """F_{p^k} with elements as length-k coefficient tuples.
+    """F_{p^k}; the element c_0 + c_1 z + ... + c_{k-1} z^(k-1) is the int
+    code c_0 + c_1 p + ... + c_{k-1} p^(k-1) in 0..q-1.
 
     The modulus may be supplied explicitly (it is verified to be monic,
     reduced and irreducible) and defaults to ``find_irreducible(p, k)``.
+    Prime fields compute on residues.  Extension fields multiply, invert
+    and raise to powers by exp/log tables of a primitive element g, and add
+    by its Zech table, built on first use in O(q) steps and O(q) words.
     """
 
-    __slots__ = ("p", "k", "modulus", "size", "_red")
+    __slots__ = ("p", "k", "modulus", "size", "_tables")
+
+    zero, one = 0, 1
 
     def __init__(self, p: int, k: int, modulus: IntPolynomial | None = None):
         if not is_prime(p):
@@ -187,85 +196,102 @@ class FiniteField:
             raise SpecError("modulus coefficients must be reduced mod p")
         elif not _is_irreducible(list(modulus.coeffs), p):
             raise SpecError(f"modulus {modulus} is reducible over F_{p}")
-        self.p = p
-        self.k = k
-        self.modulus = modulus
-        self.size = p**k
-        # reduction rows: _red[j - k] expresses z^j as a reduced tuple
-        rows: list[tuple[int, ...]] = []
-        if k > 1:
-            row = [(-c) % p for c in modulus.coeffs[:k]]
-            rows.append(tuple(row))
-            for _ in range(k - 2):
-                over = row[-1]
-                row = [0] + row[:-1]
-                if over:
-                    row = [(c + over * r) % p for c, r in zip(row, rows[0])]
-                rows.append(tuple(row))
-        self._red = tuple(rows)
+        self.p, self.k, self.modulus, self.size = p, k, modulus, p**k
+        self._tables: tuple[array, array, array] | None = None
 
     @classmethod
     def _prime(cls, p: int) -> "FiniteField":
         """F_p for a known prime p, without ``__init__`` (internal fast path)."""
         field = object.__new__(cls)
-        field.p, field.k, field.modulus, field.size, field._red = p, 1, IntPolynomial((0, 1)), p, ()
+        field.p, field.k, field.modulus, field.size, field._tables = p, 1, IntPolynomial((0, 1)), p, None
         return field
 
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.k
+    def _build(self) -> tuple[array, array, array]:
+        """exp (twice over), log and Zech tables (1 + g^n = g^zech[n], or 0
+        where zech[n] = -1) of a primitive g.  Walking zmul, z times every
+        code, gives <z> of order r and index s; the first u in code order
+        with u^j outside <z> for 0 < j < s spans the cosets u^j<z>.  With
+        u^s = z^w, g = u z^t is primitive for the least t with gcd(w + s t, r)
+        = 1 (by the CRT one exists), and g^(j + s v) = u^j z^((w + s t) v + t j).
+        """
+        p, k, q = self.p, self.k, self.size
+        m, fp, f = q - 1, FiniteField._prime(p), list(self.modulus.coeffs)
+        zmul: list[int] = []
+        for c in range(p):  # z*(a + c z^(k-1)) = z*a - c*(f - z^k) for every a < p^(k-1)
+            wrap = [(-c * fi) % p for fi in f[:k]]
+            shifted = [0]
+            for i, d in enumerate(wrap[1:]):
+                shifted = [(e + d) % p * p**i + v for e in range(p) for v in shifted]
+            zmul += [p * v + wrap[0] for v in shifted]
+        log, x, r = array("l", [-1]) * q, 1, 0
+        while log[x] < 0:  # log[z^i] = i for now; log[x] is set before x moves on
+            log[x], x, r = r, zmul[x], r + 1
+        s = m // r
+        for u in range(p, q):
+            ud = _ftrim(fp, [u // p**i % p for i in range(k)])
+            reps, x, xd = [1], u, ud
+            while log[x] < 0:  # x = u^len(reps), with coefficient list xd
+                reps.append(x)
+                xd = _fmod(fp, _fmul(fp, xd, ud), f)
+                x = sum(c * p**i for i, c in enumerate(xd))
+            if len(reps) == s:
+                break
+        t = next(t for t in range(r) if math.gcd(log[x] + s * t, r) == 1)
+        w = log[x] + s * t
+        exp = array("l", [0]) * m
+        for j, x in enumerate(reps):
+            coset = list(itertools.accumulate(range(r - 1), lambda y, _: zmul[y], initial=x))
+            exp[j::s] = array("l", [coset[(w * v + t * j) % r] for v in range(r)])
+        for n, x in enumerate(exp):
+            log[x] = n
+        exp += exp
+        zech = array("l", (log[x + 1 if x % p < p - 1 else x + 1 - p] for x in exp[:m]))
+        self._tables = (exp, log, zech)
+        return self._tables
 
-    @property
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.k - 1)
+    def from_int(self, n: int) -> int:
+        return n % self.p
 
-    def from_int(self, n: int) -> tuple[int, ...]:
-        return (n % self.p,) + (0,) * (self.k - 1)
+    def add(self, x: int, y: int) -> int:
+        if self.k == 1:
+            return (x + y) % self.p
+        if not x or not y:
+            return x or y
+        exp, log, zech = self._tables or self._build()
+        a = log[x]
+        n = zech[log[y] - a]  # a negative index wraps to the difference mod q-1
+        return exp[a + n] if n >= 0 else 0
 
-    def add(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
+    def neg(self, x: int) -> int:
+        return self.mul(x, self.p - 1)  # p - 1 is the code of -1
 
-    def neg(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((-a) % p for a in x)
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.neg(y))
 
-    def sub(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((a - b) % p for a, b in zip(x, y))
+    def mul(self, x: int, y: int) -> int:
+        if self.k == 1:
+            return x * y % self.p
+        if not x or not y:
+            return 0
+        exp, log, _ = self._tables or self._build()
+        return exp[log[x] + log[y]]
 
-    def mul(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        p, k = self.p, self.k
-        if k == 1:
-            return (x[0] * y[0] % p,)
-        conv = [0] * (2 * k - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    conv[i + j] += a * b
-        out = conv[:k]
-        for j in range(k, 2 * k - 1):
-            c = conv[j]
-            if c:
-                row = self._red[j - k]
-                for i in range(k):
-                    out[i] += c * row[i]
-        return tuple(c % p for c in out)
+    def pow(self, x: int, e: int) -> int:
+        if not x:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero in a finite field")
+            return 0 if e else 1
+        if self.k == 1:
+            return pow(x, e, self.p)
+        exp, log, _ = self._tables or self._build()
+        return exp[log[x] * e % (self.size - 1)]
 
-    def pow(self, x: tuple[int, ...], e: int) -> tuple[int, ...]:
-        if e < 0:
-            x = self.inv(x)
-            e = -e
-        return binary_power(x, e, self.mul, self.one)
+    def inv(self, x: int) -> int:
+        return self.pow(x, -1)
 
-    def inv(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        if x == self.zero:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        return self.pow(x, self.size - 2)
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        """All field elements, in ascending coefficient-tuple order."""
-        return itertools.product(range(self.p), repeat=self.k)
+    def elements(self) -> range:
+        """All field elements, in ascending code order."""
+        return range(self.size)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteField):
@@ -342,7 +368,7 @@ class MultiPoly:
     def __hash__(self) -> int:
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
-    def evaluate(self, field: FiniteField, point: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    def evaluate(self, field: FiniteField, point: Sequence[int]) -> int:
         acc = field.zero
         for exps, c in self.terms.items():
             term = field.from_int(c)
@@ -476,7 +502,7 @@ def iter_affine_solutions(
     nvars: int,
     field: FiniteField,
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Yield every point of the affine vanishing locus, by full enumeration.
 
     Refuses to start if the number of candidate tuples exceeds the budget.
@@ -512,14 +538,16 @@ def count_affine_points(
             term = MultiPoly(nvars, {exps[:v] + (0,) + exps[v + 1:]: c % field.p})
             by_power[j] = by_power.get(j, zero) + term
         coeffs.append([by_power.get(j, zero) for j in range(max(by_power, default=-1) + 1)])
+    # in one variable the coefficients, and so gcd(g, y^q - y), lie in F_p[y]
+    arith = field if nvars > 1 else FiniteField._prime(field.p)
     total = 0
     for rest in itertools.product(field.elements(), repeat=nvars - 1):
-        point = rest[:v] + (field.zero,) + rest[v:]
+        point = rest[:v] + (0,) + rest[v:]
         g: list = []
         for cs in coeffs:
-            g = _fgcd(field, g, _ftrim(field, [c.evaluate(field, point) for c in cs]))
+            g = _fgcd(arith, g, _ftrim(arith, [c.evaluate(arith, point) for c in cs]))
         if not g:
             total += q
         elif len(g) > 1:
-            total += _common_roots(field, g, _fpowmod(field, [field.zero, field.one], q, g))
+            total += _common_roots(arith, g, _fpowmod(arith, [0, 1], q, g))
     return total

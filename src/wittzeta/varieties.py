@@ -7,10 +7,11 @@ pointwise, explicit equation systems by root counting in one variable
 (budget-guarded), and user-supplied count tables verbatim.
 
 The module also hosts the enumeration oracle for symmetric powers: group
-the points over F_{q^{rd}} into Frobenius orbits to count closed points of
-each degree d, then count multisets of closed points with total degree n.
-That route never touches ghost coordinates or Newton inversion, so it can
-sit on the other side of an equality test from them.
+the points over F_{q^{rd}} (tuples of int field codes) into Frobenius
+orbits to count closed points of each degree d, then count multisets of
+closed points with total degree n.  That route never touches ghost
+coordinates or Newton inversion, so it can sit on the other side of an
+equality test from them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .finitefield import (
     prime_power_decompose,
 )
 
-Point = tuple[tuple[int, ...], ...]
+Point = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -280,33 +281,31 @@ def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int
             required=work,
             budget=budget,
         )
-    a = field.from_int(spec.a)
-    b = field.from_int(spec.b)
-    roots: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    a, b = field.from_int(spec.a), field.from_int(spec.b)
+    roots: dict[int, list[int]] = {}
     for y in field.elements():
         roots.setdefault(field.mul(y, y), []).append(y)
-    points: list[Point] = []
-    for x in field.elements():
-        rhs = field.add(field.mul(field.mul(x, x), x), field.add(field.mul(a, x), b))
-        for y in roots.get(rhs, ()):
-            points.append((x, y))
-    return points
+    return [(x, y) for x in field.elements()  # x^3 + a x + b = x (x^2 + a) + b
+            for y in roots.get(field.add(field.mul(x, field.add(field.mul(x, x), a)), b), ())]
+
+
+def _enumerable_prime(spec: VarietySpec) -> int:
+    if isinstance(spec, (EllipticCurve, EquationsSpec)):
+        return spec.p
+    raise SpecError("brute-force enumeration needs an elliptic or equations spec")
 
 
 def _affine_points(spec: VarietySpec, field: FiniteField, budget: int) -> list[Point]:
     if isinstance(spec, EllipticCurve):
         return _elliptic_affine_points(spec, field, budget)
-    if isinstance(spec, EquationsSpec):
-        return list(iter_affine_solutions(spec.polys, len(spec.variables), field, budget))
-    raise SpecError("brute-force enumeration needs an elliptic or equations spec")
+    return list(iter_affine_solutions(spec.polys, len(spec.variables), field, budget))
 
 
 def point_count_by_enumeration(
     spec: VarietySpec, r: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> int:
     """N_r by direct enumeration over F_{p^r}; elliptic includes infinity."""
-    p = spec_field_size(spec)
-    field = FiniteField(p, r)
+    field = FiniteField(_enumerable_prime(spec), r)
     n = len(_affine_points(spec, field, budget))
     return n + 1 if isinstance(spec, EllipticCurve) else n
 
@@ -321,7 +320,7 @@ def closed_point_counts(
     closed points of degree d.  The single elliptic point at infinity is
     rational over the prime field, hence a degree-1 closed point.
     """
-    p = spec_field_size(spec)
+    p = _enumerable_prime(spec)
     frob_exp = p**r
     out = []
     for d in range(1, dmax + 1):
@@ -330,16 +329,12 @@ def closed_point_counts(
         seen: set[Point] = set()
         orbits = 0
         for pt in points:
-            if pt in seen:
-                continue
-            orbit = [pt]
-            cur = tuple(field.pow(c, frob_exp) for c in pt)
-            while cur != pt:
-                orbit.append(cur)
-                cur = tuple(field.pow(c, frob_exp) for c in cur)
-            seen.update(orbit)
-            if len(orbit) == d:
-                orbits += 1
+            if pt not in seen:
+                orbit = [pt]
+                while (cur := tuple(field.pow(c, frob_exp) for c in orbit[-1])) != pt:
+                    orbit.append(cur)
+                seen.update(orbit)
+                orbits += len(orbit) == d
         if d == 1 and isinstance(spec, EllipticCurve):
             orbits += 1
         out.append(orbits)

@@ -1,9 +1,11 @@
 """Tests for finite field construction, arithmetic and point enumeration."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittzeta.errors import BudgetError, SpecError
 from wittzeta.finitefield import (
@@ -17,7 +19,7 @@ from wittzeta.finitefield import (
     parse_polynomial,
     prime_power_decompose,
 )
-from wittzeta.rings import IntPolynomial
+from wittzeta.rings import IntPolynomial, binary_power
 
 
 # --- independent polynomial oracle over F_p (ascending coefficient lists) ---
@@ -247,12 +249,136 @@ def test_field_axioms_on_random_triples(p, k):
     field = FiniteField(p, k)
     rng = random.Random(p * 100 + k)
     for _ in range(200):
-        a, b, c = (tuple(rng.randrange(p) for _ in range(k)) for _ in range(3))
+        a, b, c = (rng.randrange(field.size) for _ in range(3))
         assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
         assert field.mul(a, b) == field.mul(b, a)
         assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
         assert field.add(a, field.neg(a)) == field.zero
         assert field.sub(a, b) == field.add(a, field.neg(b))
+
+
+# --- the replaced arithmetic: elements as coefficient tuples, products by
+# convolution and reduction rows, as the oracle of the int-code tables ---
+
+
+class TupleField:
+    """F_{p^k} on length-k coefficient tuples (ascending degree)."""
+
+    def __init__(self, p, k, modulus):
+        self.p, self.k, self.size = p, k, p**k
+        self.zero, self.one = (0,) * k, (1,) + (0,) * (k - 1)
+        # reduction rows: red[j - k] expresses z^j as a reduced tuple
+        self.red = []
+        if k > 1:
+            row = [(-c) % p for c in modulus.coeffs[:k]]
+            self.red.append(tuple(row))
+            for _ in range(k - 2):
+                over = row[-1]
+                row = [0] + row[:-1]
+                if over:
+                    row = [(c + over * r) % p for c, r in zip(row, self.red[0])]
+                self.red.append(tuple(row))
+
+    def add(self, x, y):
+        return tuple((a + b) % self.p for a, b in zip(x, y))
+
+    def neg(self, x):
+        return tuple((-a) % self.p for a in x)
+
+    def sub(self, x, y):
+        return tuple((a - b) % self.p for a, b in zip(x, y))
+
+    def mul(self, x, y):
+        p, k = self.p, self.k
+        conv = [0] * (2 * k - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    conv[i + j] += a * b
+        out = conv[:k]
+        for j in range(k, 2 * k - 1):
+            c = conv[j]
+            if c:
+                row = self.red[j - k]
+                for i in range(k):
+                    out[i] += c * row[i]
+        return tuple(c % p for c in out)
+
+    def pow(self, x, e):
+        if e < 0:
+            x, e = self.inv(x), -e
+        return binary_power(x, e, self.mul, self.one)
+
+    def inv(self, x):
+        if x == self.zero:
+            raise ZeroDivisionError("inverse of zero in a finite field")
+        return self.pow(x, self.size - 2)
+
+
+def digits(field, code):
+    """The coefficient tuple of an int code: its base-p digits."""
+    return tuple(code // field.p**i % field.p for i in range(field.k))
+
+
+# z is not primitive for the default modulus of (2, 8), (3, 2), (5, 2), (5, 4)
+# and (7, 3); neither is z + 1 for (2, 8)
+ORACLE_ARITHMETIC = [(2, 1), (13, 1), (2, 8), (3, 2), (5, 2), (5, 4), (7, 3), (3, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def field_pair(p, k):
+    field = FiniteField(p, k)
+    return field, TupleField(p, k, field.modulus)
+
+
+@st.composite
+def arithmetic_cases(draw):
+    field, oracle = field_pair(*draw(st.sampled_from(ORACLE_ARITHMETIC)))
+    x, y = (draw(st.integers(0, field.size - 1)) for _ in range(2))
+    e = draw(st.integers(-3 * field.size, 3 * field.size))
+    return field, oracle, x, y, e, draw(st.integers(0, field.k))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(case=arithmetic_cases())
+def test_int_codes_match_tuple_arithmetic(case):
+    field, oracle, x, y, e, j = case
+    X, Y = digits(field, x), digits(field, y)
+    assert digits(field, field.add(x, y)) == oracle.add(X, Y)
+    assert digits(field, field.sub(x, y)) == oracle.sub(X, Y)
+    assert digits(field, field.neg(x)) == oracle.neg(X)
+    assert field.add(x, field.neg(x)) == field.sub(y, y) == 0  # 1 + g^n = 0 in the Zech table
+    assert digits(field, field.mul(x, y)) == oracle.mul(X, Y)
+    assert digits(field, field.pow(x, field.p**j)) == oracle.pow(X, field.p**j)  # Frobenius
+    if x:
+        assert digits(field, field.inv(x)) == oracle.inv(X)
+        assert digits(field, field.pow(x, e)) == oracle.pow(X, e)
+    else:
+        for op in (field.inv, lambda z: field.pow(z, -1 - abs(e))):
+            with pytest.raises(ZeroDivisionError):
+                op(x)
+        assert digits(field, field.pow(x, abs(e))) == oracle.pow(X, abs(e))
+
+
+@pytest.mark.parametrize("p,k", ORACLE_ARITHMETIC)
+def test_tables_run_over_a_primitive_element(p, k):
+    field, _ = field_pair(p, k)
+    field.mul(1, 1)
+    if k == 1:
+        assert field._tables is None
+    else:
+        exp, log, zech = field._tables
+        m = field.size - 1
+        assert sorted(exp[:m]) == list(range(1, field.size)) and exp[m:] == exp[:m]
+        assert all(log[exp[n]] == n for n in range(m))
+
+
+def test_codes_are_base_p_digits():
+    field = FiniteField(3, 2)  # modulus z^2 + 1
+    assert list(field.elements()) == list(range(9))
+    assert (field.zero, field.one, field.from_int(-1)) == (0, 1, 2)
+    assert field.mul(3, 3) == 2  # z * z = -1
+    assert field.add(4, 5) == 6  # (1 + z) + (2 + z) = 2z
 
 
 def test_pow_matches_repeated_multiplication():
@@ -300,7 +426,7 @@ def test_parse_polynomial_matches_direct_arithmetic():
     for xv in range(5):
         for yv in range(5):
             expected = (yv * yv - xv**3 - xv) % 5
-            assert f.evaluate(field, ((xv,), (yv,))) == (expected,)
+            assert f.evaluate(field, (xv, yv)) == expected
 
 
 def test_parse_polynomial_grammar():
@@ -366,3 +492,19 @@ def test_enumeration_solutions_are_actual_zeros():
     for point in solutions:
         assert polys[0].evaluate(field, point) == field.zero
     assert len(solutions) == len(set(solutions))
+
+
+# --- no table larger than the work ---
+
+
+def test_one_variable_root_count_stays_in_the_prime_field():
+    field = FiniteField(2, 24)
+    assert count_affine_points([parse_polynomial("x^3 + x + 1", ("x",))], 1, field) == 3
+    assert field._tables is None
+
+
+def test_refused_enumeration_builds_no_table():
+    field = FiniteField(2, 3)
+    with pytest.raises(BudgetError):
+        list(iter_affine_solutions([parse_polynomial("y - x", ("x", "y"))], 2, field, budget=63))
+    assert field._tables is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+import wittzeta.varieties as varieties
 from wittzeta.errors import BudgetError, InconsistentCountsError, PrecisionError, SpecError
 from wittzeta.varieties import (
     AffineSpace,
@@ -205,6 +206,17 @@ def test_enumeration_rejects_closed_form_specs():
         point_count_by_enumeration(AffineSpace(1, 2), 1)
 
 
+@pytest.mark.parametrize("spec", [AffineSpace(1, 4), ProjectiveSpace(1, 2)])
+def test_enumeration_checks_the_spec_kind_before_building_a_field(spec, monkeypatch):
+    def no_field(*args):
+        raise AssertionError("built a field for a spec that cannot be enumerated")
+
+    monkeypatch.setattr(varieties, "FiniteField", no_field)
+    for enumerate_spec in (lambda: point_count_by_enumeration(spec, 2), lambda: closed_point_counts(spec, 1, 2)):
+        with pytest.raises(SpecError, match="brute-force enumeration needs an elliptic or equations spec"):
+            enumerate_spec()
+
+
 def test_closed_point_counts_affine_line():
     # monic irreducible polynomial counts over F_2: degrees 1, 2, 3
     line = EquationsSpec.from_strings(2, ("x",), ())
@@ -236,3 +248,18 @@ def test_brute_sym_count_budget():
         brute_sym_count(E, 3, 2, budget=100)
     with pytest.raises(ValueError):
         brute_sym_count(E, -1, 1)
+
+
+def test_refused_brute_sym_count_builds_no_table(monkeypatch):
+    fields = []
+    build = varieties.FiniteField
+
+    def recorded(p, k):
+        fields.append(build(p, k))
+        return fields[-1]
+
+    monkeypatch.setattr(varieties, "FiniteField", recorded)
+    with pytest.raises(BudgetError):
+        brute_sym_count(E, 2, 1, budget=20)  # F_5 (10 steps) passes, F_25 (50) is refused
+    assert [(f.p, f.k) for f in fields] == [(5, 1), (5, 2)]
+    assert all(f._tables is None for f in fields)
