@@ -32,12 +32,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact below psi_13 = 3317044064679887385961981."""
+    """Deterministic Miller-Rabin, exact below psi_13; above it, ValueError unless a base divides n."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n >= 3317044064679887385961981:  # psi_13, the least strong pseudoprime to all bases
+        raise ValueError(f"cannot prove {n} prime: it is at least psi_13 = 3317044064679887385961981")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -441,42 +441,49 @@ class TruncatedSeries:
             inv.append(ring.neg(acc))
         return TruncatedSeries._make(ring, tuple(inv))
 
+    def _power(self, num: int, den: int) -> "TruncatedSeries":
+        """self**(num/den), constant term 1, from s*q' = (num/den)*s'*q (Knuth, TAOCP
+        vol. 2, 4.7): den*k*q_k = sum_{i=1..k} ((num+den)*i - den*k)*s_i*q_{k-i}.
+        Only nonzero s_i are visited, so 1 - t^d costs O(N) steps for any num.  An
+        inexact division (never for den = 1) raises IntegralityError at degree k."""
+        ring, zero = self.ring, self.ring.zero
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if i and not ring.eq(c, zero)]
+        out = [ring.one]
+        for k in range(1, self.prec + 1):
+            acc = zero
+            for i, c in terms:
+                if i > k:
+                    break
+                acc = ring.add(acc, ring.scalar_mul(ring.mul(c, out[k - i]), (num + den) * i - den * k))
+            try:
+                out.append(ring.divide_exact(acc, den * k))
+            except IntegralityError as exc:
+                msg = f"series has no exact {den}-th root: failure at degree {k}"
+                raise IntegralityError(msg, degree=k) from exc
+        return TruncatedSeries._make(ring, tuple(out))
+
     def pow_int(self, e: int) -> "TruncatedSeries":
-        """Integer power; negative exponents invert first (constant term 1)."""
+        """Integer power.  For constant term 1: the inverse at e = -1, square-and-
+        multiply for 0 <= e <= 2 (both cheaper there), else one pass of the power
+        recurrence.  Another constant term allows e >= 0, by square-and-multiply."""
+        if e == -1:
+            return self.inverse()
+        if not 0 <= e <= 2 and self.ring.eq(self.coeffs[0], self.ring.one):
+            return self._power(e, 1)
         if e < 0:
-            return self.inverse().pow_int(-e)
+            raise ValueError("a negative power requires constant term 1")
         return binary_power(self, e, operator.mul, TruncatedSeries.one(self.ring, self.prec))
 
     def nth_root(self, n: int) -> "TruncatedSeries":
-        """The series q with q**n == self and constant term 1.
-
-        One pass of the power recurrence (Knuth, TAOCP vol. 2, 4.7)
-        n*k*q_k = sum_{i=1..k} ((n+1)*i - n*k)*s_i*q_{k-i}.  Over a torsion-free
-        ring its right side is k times the residual s_k - [t^k](q_0..q_{k-1})^n,
-        so the division by n*k fails exactly where that residual is not
-        divisible by n; IntegralityError carries that degree k.
-        """
+        """The series q with q**n == self and constant term 1: the power recurrence
+        with exponent 1/n.  Its right side at degree k is k times the residual
+        s_k - [t^k](q_0..q_{k-1})^n, so the division by n*k fails exactly where
+        that residual is not divisible by n; IntegralityError carries that k."""
         if n <= 0:
             raise ValueError("root index must be a positive integer")
-        ring = self.ring
-        s = self.coeffs
-        if not ring.eq(s[0], ring.one):
+        if not self.ring.eq(self.coeffs[0], self.ring.one):
             raise ValueError("series n-th root requires constant term 1")
-        if n == 1:
-            return self
-        root = [ring.one]
-        for k in range(1, self.prec + 1):
-            acc = ring.zero
-            for i in range(1, k + 1):
-                term = ring.mul(s[i], root[k - i])
-                acc = ring.add(acc, ring.scalar_mul(term, (n + 1) * i - n * k))
-            try:
-                root.append(ring.divide_exact(acc, n * k))
-            except IntegralityError as exc:
-                raise IntegralityError(
-                    f"series has no exact {n}-th root: failure at degree {k}", degree=k
-                ) from exc
-        return TruncatedSeries._make(ring, tuple(root))
+        return self if n == 1 else self._power(1, n)
 
     def at_minus_t(self) -> "TruncatedSeries":
         """Substitute -t for t, negating the odd-degree coefficients."""

@@ -39,13 +39,7 @@ from .witt import (
 
 def sigma_int(a: int, prec: int) -> WittVector:
     """sigma_t(a) = (1-t)^(-a) as a Witt vector over the integers."""
-    coeffs = []
-    c = 1
-    for n in range(1, prec + 1):
-        # exact: c accumulates the binomial coefficient C(a+n-1, n)
-        c = c * (a + n - 1) // n
-        coeffs.append(c)
-    return WittVector.from_coeffs(ZZ, coeffs)
+    return WittVector(TruncatedSeries(ZZ, (1, -1)[: prec + 1] + (0,) * (prec - 1)).pow_int(-a))
 
 
 def sigma_poly(f: IntPolynomial | int, prec: int) -> WittVector:

@@ -198,15 +198,11 @@ def elliptic_trace(spec: EllipticCurve, budget: int = DEFAULT_ENUM_BUDGET) -> in
             required=2 * p,
             budget=budget,
         )
-    squares: dict[int, int] = {}
-    for y in range(p):
-        s = y * y % p
-        squares[s] = squares.get(s, 0) + 1
-    affine = 0
-    for x in range(p):
-        rhs = (x * x * x + spec.a * x + spec.b) % p
-        affine += squares.get(rhs, 0)
-    return p + 1 - (affine + 1)
+    a, b, cnt = spec.a, spec.b, bytearray(p)  # cnt[r] = #{y : y^2 = r} = 1 + (r | p)
+    for y in range(1, (p + 1) // 2):
+        cnt[y * y % p] = 2
+    cnt[0] = 1
+    return p - sum(cnt[(x * (x * x + a) + b) % p] for x in range(p))
 
 
 def _elliptic_counts(spec: EllipticCurve, rmax: int, budget: int) -> tuple[int, ...]:

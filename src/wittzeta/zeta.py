@@ -94,8 +94,9 @@ def closed_point_degree_counts(counts: PointCounts, dmax: int) -> tuple[int, ...
 def euler_product_zeta(counts: PointCounts, prec: int) -> WittVector:
     """Z(X, t) as the Euler product over closed points of degree <= N.
 
-    Expands prod_d (1 - t^d)^(-a_d) with plain series arithmetic; no ghost
-    coordinates or Newton steps are involved, so this is an independent
+    Each factor (1 - t^d)^(-a_d) = sum_k C(a_d+k-1, k) t^(dk) comes from the
+    power recurrence of ``pow_int`` in O(N) steps for any a_d ~ q^d/d; no
+    ghost coordinates or Newton steps are involved, so this is an independent
     route to the same Witt vector as ``zeta_from_counts``.
     """
     if prec < 1:
@@ -106,8 +107,7 @@ def euler_product_zeta(counts: PointCounts, prec: int) -> WittVector:
         a_d = degree_counts[d - 1]
         if a_d == 0:
             continue
-        factor = [0] * (prec + 1)
-        factor[0] = 1
+        factor = [1] + [0] * prec
         factor[d] = -1
         series = series * TruncatedSeries(ZZ, factor).pow_int(-a_d)
     return WittVector(series)

@@ -184,6 +184,19 @@ def test_exit_code_2_on_strong_pseudoprime_field_size(capsys):
     assert_one_malformed_input_line(*run_cli(capsys, "zeta", "--spec", spec, "-N", "2"))
 
 
+@pytest.mark.parametrize("kind", ["elliptic", "affine", "equations"])
+def test_exit_code_2_on_prime_beyond_the_proven_bound(capsys, kind):
+    p = 2**89 - 1  # prime, but above psi_13 where Miller-Rabin proves nothing
+    spec = {
+        "elliptic": {"type": "elliptic", "p": p, "a": 1, "b": 1},
+        "affine": {"type": "affine", "dim": 1, "q": p},
+        "equations": {"type": "equations", "p": p, "vars": ["x"], "polys": ["x"]},
+    }[kind]
+    code, out, err = run_cli(capsys, "zeta", "--spec", json.dumps(spec), "-N", "2")
+    assert_one_malformed_input_line(code, out, err)
+    assert "psi_13 = 3317044064679887385961981" in json.loads(err)["error"]["message"]
+
+
 def test_exit_code_2_on_unknown_spec_type(capsys):
     code, _, err = run_cli(capsys, "zeta", "--spec", '{"type":"weird"}', "-N", "2")
     assert code == 2

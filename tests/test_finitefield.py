@@ -74,6 +74,19 @@ def test_is_prime_large_values():
     assert not is_prime(399165290221 * 798330580441)
 
 
+def test_is_prime_refuses_what_it_cannot_prove():
+    psi_13 = 3317044064679887385961981
+    assert not is_prime(psi_13 - 2)  # = 17 * 195120239098816905056587
+    for n in (psi_13, 2**89 - 1, (2**89 - 1) ** 2):
+        with pytest.raises(ValueError, match="psi_13 = 3317044064679887385961981"):
+            is_prime(n)
+    # a factor up to 41 settles n at any size
+    assert not is_prime(2**200) and not is_prime(41 * (2**89 - 1))
+    with pytest.raises(ValueError, match="psi_13"):
+        prime_power_decompose(2**89 - 1)
+    assert prime_power_decompose(2**100) == (2, 100)
+
+
 @pytest.mark.parametrize(
     "q,expected",
     [(2, (2, 1)), (8, (2, 3)), (9, (3, 2)), (25, (5, 2)), (27, (3, 3)), (343, (7, 3)), (1024, (2, 10))],

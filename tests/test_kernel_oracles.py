@@ -1,20 +1,26 @@
 """Differential tests: the Witt kernel against the routes it replaced.
 
-``ghost`` runs the one-pass recurrence from P*B = t*P' and
-``TruncatedSeries.nth_root`` the one-pass power recurrence.  The routes they
-replaced are kept here as oracles: the ghost map as the series product
-t*P' * P^(-1), and the n-th root degree by degree, re-raising the partial
-root to the n-th power at every step.  ``old_routes`` swaps both in, so a
-computation run under it uses the old routes at every nesting level.
+``ghost`` runs the one-pass recurrence from P*B = t*P', and
+``TruncatedSeries.pow_int`` and ``nth_root`` share the one-pass power
+recurrence.  The routes they replaced are kept here as oracles: the ghost
+map as the series product t*P' * P^(-1), integer powers by square-and-multiply
+(inverting first for a negative exponent), and the n-th root degree by
+degree, re-raising the partial root to the n-th power at every step.
+``old_routes`` swaps all three in, so a computation run under it uses the
+old routes at every nesting level.
 
 The cases are Witt vectors and series over ZZ, ZZ[z], W_3(ZZ) and
 W_2(W_3(ZZ)); the last, at precision 2, are elements of the three-level
 nesting W_2(W_2(W_3(ZZ))).  The n-th root inputs are n-fold Witt sums, half
 of them with one coefficient perturbed so that many have no root; on a
 non-root, both routes must raise IntegralityError with the same degree and
-message.
+message.  Powers are checked over ZZ, ZZ[z] and W_3(ZZ) for exponents in
+[-40, 40], for constant terms other than 1, and for (1 - t^d)^e with |e| up
+to 10^30 against its binomial coefficients.
 """
 
+import math
+import operator
 from contextlib import contextmanager
 
 import pytest
@@ -22,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittzeta import witt
 from wittzeta.errors import IntegralityError
-from wittzeta.rings import IntPolynomial, TruncatedSeries, ZPOLY, ZZ
+from wittzeta.rings import IntPolynomial, TruncatedSeries, ZPOLY, ZZ, binary_power
 from wittzeta.witt import GhostVector, WittRing, WittVector, witt_mul, witt_scale
 
 
@@ -34,6 +40,13 @@ def ghost_by_series_quotient(p: WittVector) -> GhostVector:
     )
     quotient = numer * p.series.inverse()
     return GhostVector(ring, quotient.coeffs[1:])
+
+
+def pow_by_squaring(self: TruncatedSeries, e: int) -> TruncatedSeries:
+    """Integer power by square-and-multiply; a negative exponent inverts first."""
+    if e < 0:
+        return pow_by_squaring(self.inverse(), -e)
+    return binary_power(self, e, operator.mul, TruncatedSeries.one(self.ring, self.prec))
 
 
 def nth_root_by_powering(self: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -48,7 +61,7 @@ def nth_root_by_powering(self: TruncatedSeries, n: int) -> TruncatedSeries:
     root = [ring.one]
     for k in range(1, self.prec + 1):
         partial = TruncatedSeries._make(ring, tuple(root) + (ring.zero,))
-        attained = partial.pow_int(n).coeffs[k]
+        attained = pow_by_squaring(partial, n).coeffs[k]
         residual = ring.sub(self.coeffs[k], attained)
         try:
             root.append(ring.divide_exact(residual, n))
@@ -61,12 +74,14 @@ def nth_root_by_powering(self: TruncatedSeries, n: int) -> TruncatedSeries:
 
 @contextmanager
 def old_routes():
-    saved = witt.ghost, TruncatedSeries.nth_root
-    witt.ghost, TruncatedSeries.nth_root = ghost_by_series_quotient, nth_root_by_powering
+    saved = witt.ghost, TruncatedSeries.pow_int, TruncatedSeries.nth_root
+    witt.ghost, TruncatedSeries.pow_int, TruncatedSeries.nth_root = (
+        ghost_by_series_quotient, pow_by_squaring, nth_root_by_powering
+    )
     try:
         yield
     finally:
-        witt.ghost, TruncatedSeries.nth_root = saved
+        witt.ghost, TruncatedSeries.pow_int, TruncatedSeries.nth_root = saved
 
 
 def outcome(fn):
@@ -141,3 +156,45 @@ def test_nth_root_and_divide_exact_match_the_degree_by_degree_route(case, data):
     new, old = on_both_routes(lambda: WittRing(ring, prec).divide_exact(y, n).coeffs)
     assert new == old
 
+
+# (coefficient ring, largest precision) for the power tests
+POWER_CASES = {"ZZ": (ZZ, 8), "ZZ[z]": (ZPOLY, 6), "W_3(ZZ)": (W3, 4)}
+
+
+@pytest.mark.parametrize("case", sorted(POWER_CASES))
+@DIFFERENTIAL
+@given(data=st.data())
+def test_pow_int_matches_square_and_multiply(case, data):
+    ring, max_prec = POWER_CASES[case]
+    prec = data.draw(st.integers(0, max_prec))
+    tail = data.draw(st.lists(elements(ring), min_size=prec, max_size=prec))
+    s = TruncatedSeries(ring, [ring.one] + tail)
+    e = data.draw(st.integers(-40, 40))
+    new, old = on_both_routes(lambda: s.pow_int(e).coeffs)
+    assert new == old
+    # a constant term other than 1: square-and-multiply for e >= 0, ValueError below
+    c = data.draw(elements(ring).filter(lambda c: not ring.eq(c, ring.one)))
+    u = TruncatedSeries(ring, [c] + tail)
+    e = abs(e) % 9
+    new, old = on_both_routes(lambda: u.pow_int(e).coeffs)
+    assert new == old
+    with pytest.raises(ValueError):
+        u.pow_int(-1 - e)
+
+
+@DIFFERENTIAL
+@given(
+    d=st.integers(1, 12),
+    prec=st.integers(0, 30),
+    e=st.one_of(st.integers(-50, 50), st.integers(-(10**30), 10**30)),
+)
+def test_pow_int_of_one_minus_t_d_is_the_binomial_series(d, prec, e):
+    """(1 - t^d)^e = sum_k C(e, k) (-t^d)^k; for e = -a, C(e, k) (-1)^k = C(a+k-1, k)."""
+    factor = [0] * (prec + 1)
+    factor[0] = 1
+    if d <= prec:
+        factor[d] = -1
+    expected = [0] * (prec + 1)
+    for k in range(prec // d + 1):
+        expected[d * k] = math.comb(k - e - 1, k) if e < 0 else (-1) ** k * math.comb(e, k)
+    assert TruncatedSeries(ZZ, factor).pow_int(e).coeffs == tuple(expected)

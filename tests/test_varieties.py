@@ -1,9 +1,12 @@
 """Tests for variety specs, point counting and the enumeration oracles."""
 
+import random
+
 import pytest
 
 import wittzeta.varieties as varieties
 from wittzeta.errors import BudgetError, InconsistentCountsError, PrecisionError, SpecError
+from wittzeta.finitefield import is_prime
 from wittzeta.varieties import (
     AffineSpace,
     CountsSpec,
@@ -109,6 +112,32 @@ def test_projective_space_counts():
 def test_elliptic_counts_by_trace_recursion():
     assert elliptic_trace(E) == 2
     assert point_counts(E, 4).counts == (4, 32, 148, 640)
+
+
+def elliptic_trace_by_square_table(spec: EllipticCurve) -> int:
+    """Oracle: tabulate y -> y^2 in a dict, then look up x^3 + a*x + b for each x."""
+    p = spec.p
+    squares: dict[int, int] = {}
+    for y in range(p):
+        s = y * y % p
+        squares[s] = squares.get(s, 0) + 1
+    affine = 0
+    for x in range(p):
+        rhs = (x * x * x + spec.a * x + spec.b) % p
+        affine += squares.get(rhs, 0)
+    return p + 1 - (affine + 1)
+
+
+def test_elliptic_trace_matches_the_square_table_oracle():
+    rng = random.Random(1931)
+    primes = [p for p in range(5, 3001) if is_prime(p)] + [99971, 99989, 99991, 100003]
+    for p in primes:
+        while True:
+            a, b = rng.randrange(p), rng.randrange(p)
+            if (4 * a**3 + 27 * b**2) % p:
+                break
+        spec = EllipticCurve(p, a, b)
+        assert elliptic_trace(spec) == elliptic_trace_by_square_table(spec), spec
 
 
 def test_product_counts_multiply_pointwise():

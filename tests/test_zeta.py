@@ -1,5 +1,6 @@
 """Tests for zeta assembly, symmetric powers and rational reconstruction."""
 
+import math
 import random
 
 import pytest
@@ -103,11 +104,18 @@ def test_two_routes_agree_on_random_honest_counts():
         degree_counts = [rng.randint(0, 4) for _ in range(6)]
         series = TruncatedSeries.one(ZZ, 6)
         for d, a_d in enumerate(degree_counts, start=1):
+            # (1 - t^d)^(-a_d) = sum_k C(a_d + k - 1, k) t^(dk)
             factor = [0] * 7
-            factor[0], factor[d] = 1, -1
-            series = series * TruncatedSeries(ZZ, factor).pow_int(-a_d)
+            for k in range(6 // d + 1):
+                factor[d * k] = math.comb(a_d + k - 1, k) if k else 1
+            series = series * TruncatedSeries(ZZ, factor)
         counts = PointCounts(2, tuple(ghost(WittVector(series)).coords))
         assert zeta_from_counts(counts, 6) == euler_product_zeta(counts, 6)
+
+
+def test_two_routes_agree_on_an_elliptic_curve_over_f_10007():
+    counts = point_counts(EllipticCurve(10007, 1, 1), 40)
+    assert euler_product_zeta(counts, 40) == zeta_from_counts(counts, 40)
 
 
 # --- symmetric-power counts ---
