@@ -27,6 +27,7 @@ from .errors import BudgetError, SpecError
 from .rings import IntPolynomial, binary_power
 
 DEFAULT_ENUM_BUDGET = 1 << 24
+_PARSE_PRODUCT_CAP = 1 << 20
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -415,11 +416,26 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 def parse_polynomial(text: str, varnames: Sequence[str]) -> MultiPoly:
-    """Parse an expression over the named variables into a MultiPoly."""
+    """Parse an expression over the named variables into a MultiPoly.
+
+    Expanding products and powers may take at most ``_PARSE_PRODUCT_CAP``
+    term products in all, counted before each product is formed; past it
+    the parse raises SpecError instead of running without bound.
+    """
     nvars = len(varnames)
     index = {name: i for i, name in enumerate(varnames)}
     tokens = _tokenize(text)
     pos = 0
+    products = 0
+
+    def times(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+        nonlocal products
+        products += len(f.terms) * len(g.terms)
+        if products > _PARSE_PRODUCT_CAP:
+            raise SpecError(
+                f"expanding polynomial {text!r} needs more than {_PARSE_PRODUCT_CAP} term products"
+            )
+        return f * g
 
     def peek() -> str:
         return tokens[pos][0] if pos < len(tokens) else ""
@@ -444,7 +460,7 @@ def parse_polynomial(text: str, varnames: Sequence[str]) -> MultiPoly:
         node = parse_unary()
         while peek() == "*":
             take("*")
-            node = node * parse_unary()
+            node = times(node, parse_unary())
         return node
 
     def parse_unary() -> MultiPoly:
@@ -457,7 +473,7 @@ def parse_polynomial(text: str, varnames: Sequence[str]) -> MultiPoly:
         base = parse_atom()
         if peek() == "^":
             take("^")
-            return base ** int(take("int"))
+            return binary_power(base, int(take("int")), times, MultiPoly.constant(nvars, 1))
         return base
 
     def parse_atom() -> MultiPoly:

@@ -12,6 +12,12 @@ positive integer (``divide_exact``), a partial operation that raises
 ``IntegralityError`` if the quotient does not exist in the ring.  That is
 the only extra structure ghost-coordinate inversion needs, and it is what
 restricts the library to torsion-free coefficient rings.
+
+The dense O(N^2) series recurrences (series product and inverse here, the
+ghost map and its Newton inverse in ``wittzeta.witt``) share one inner sum,
+``_conv``, which goes through the ring handle only and starts from each
+recurrence's boundary term: no sum starts from zero, and none multiplies by
+a constant term known to be 1.
 """
 
 from __future__ import annotations
@@ -43,6 +49,15 @@ def binary_power(x: Element, e: int, mul: Callable[[Element, Element], Element],
         if bit == "1":
             result = mul(result, x)
     return result
+
+
+def _conv(ring: "Ring", a: Sequence[Element], b: Sequence[Element], n: int, acc: Element) -> Element:
+    """acc + a[1]*b[n-1] + ... + a[n-1]*b[1]: the inner sum of every dense series
+    recurrence, started from its boundary term, with the ring's add and mul bound once."""
+    add, mul = ring.add, ring.mul
+    for i in range(1, n):
+        acc = add(acc, mul(a[i], b[n - i]))
+    return acc
 
 
 class Ring(ABC):
@@ -95,31 +110,9 @@ class Ring(ABC):
 class IntegerRing(Ring):
     """The ring of arbitrary-precision integers, elements are plain ``int``."""
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def add(self, x: int, y: int) -> int:
-        return x + y
-
-    def neg(self, x: int) -> int:
-        return -x
-
-    def mul(self, x: int, y: int) -> int:
-        return x * y
-
-    def eq(self, x: int, y: int) -> bool:
-        return x == y
-
-    def scalar_mul(self, x: int, k: int) -> int:
-        return x * k
-
-    def from_int(self, k: int) -> int:
-        return k
+    zero, one = 0, 1
+    add, neg, mul, eq, scalar_mul = operator.add, operator.neg, operator.mul, operator.eq, operator.mul
+    from_int = operator.index
 
     def divide_exact(self, x: int, n: int) -> int:
         if n <= 0:
@@ -308,28 +301,8 @@ class IntPolynomial:
 class IntPolynomialRing(Ring):
     """The polynomial ring over the integers in one variable."""
 
-    @property
-    def zero(self) -> IntPolynomial:
-        return IntPolynomial()
-
-    @property
-    def one(self) -> IntPolynomial:
-        return IntPolynomial((1,))
-
-    def add(self, x: IntPolynomial, y: IntPolynomial) -> IntPolynomial:
-        return x + y
-
-    def neg(self, x: IntPolynomial) -> IntPolynomial:
-        return -x
-
-    def mul(self, x: IntPolynomial, y: IntPolynomial) -> IntPolynomial:
-        return x * y
-
-    def eq(self, x: IntPolynomial, y: IntPolynomial) -> bool:
-        return x == y
-
-    def scalar_mul(self, x: IntPolynomial, k: int) -> IntPolynomial:
-        return x * k
+    zero, one = IntPolynomial(), IntPolynomial((1,))
+    add, neg, mul, eq, scalar_mul = operator.add, operator.neg, operator.mul, operator.eq, operator.mul
 
     def from_int(self, k: int) -> IntPolynomial:
         return IntPolynomial((k,))
@@ -418,14 +391,11 @@ class TruncatedSeries:
         ring = self.ring
         if other.ring != ring:
             raise ValueError("series live over different rings")
-        n = min(self.prec, other.prec)
         a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            acc = ring.zero
-            for i in range(k + 1):
-                acc = ring.add(acc, ring.mul(a[i], b[k - i]))
-            out.append(acc)
+        add, mul = ring.add, ring.mul
+        out = [mul(a[0], b[0])]
+        for k in range(1, min(self.prec, other.prec) + 1):
+            out.append(_conv(ring, a, b, k, add(mul(a[0], b[k]), mul(a[k], b[0]))))
         return TruncatedSeries._make(ring, tuple(out))
 
     def inverse(self) -> "TruncatedSeries":
@@ -433,12 +403,9 @@ class TruncatedSeries:
         ring = self.ring
         if not ring.eq(self.coeffs[0], ring.one):
             raise ValueError("series inverse requires constant term 1")
-        inv = [ring.one]
+        s, inv = self.coeffs, [ring.one]
         for k in range(1, self.prec + 1):
-            acc = ring.zero
-            for i in range(1, k + 1):
-                acc = ring.add(acc, ring.mul(self.coeffs[i], inv[k - i]))
-            inv.append(ring.neg(acc))
+            inv.append(ring.neg(_conv(ring, s, inv, k, s[k])))
         return TruncatedSeries._make(ring, tuple(inv))
 
     def _power(self, num: int, den: int) -> "TruncatedSeries":

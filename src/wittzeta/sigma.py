@@ -67,8 +67,8 @@ def sigma_witt(p: WittVector, outer_prec: int) -> WittVector:
     """sigma_u(P) in W_M(W_N'(A)), N' = floor(N/M), via outer ghosts.
 
     The n-th outer ghost coordinate is F_n(P); Frobenius divides precision
-    by n, so the inner precision N' is what survives all of F_1..F_M.
-    Requires N >= M so that N' >= 1.
+    by n, so the inner precision N' is what survives all of F_1..F_M, and
+    F_n needs P only up to degree n*N'.  Requires N >= M so that N' >= 1.
     """
     if outer_prec < 1:
         raise ValueError("outer precision must be at least 1")
@@ -80,9 +80,7 @@ def sigma_witt(p: WittVector, outer_prec: int) -> WittVector:
         )
     inner_prec = p.prec // outer_prec
     inner_ring = WittRing(p.ring, inner_prec)
-    coords = tuple(
-        frobenius(p, n).truncate(inner_prec) for n in range(1, outer_prec + 1)
-    )
+    coords = tuple(frobenius(p.truncate(n * inner_prec), n) for n in range(1, outer_prec + 1))
     return ghost_inverse(GhostVector(inner_ring, coords))
 
 

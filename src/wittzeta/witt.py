@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from .errors import IntegralityError, PrecisionError
-from .rings import Ring, TruncatedSeries, ZZ, binary_power
+from .rings import Ring, TruncatedSeries, ZZ, _conv, binary_power
 
 Element = Any
 
@@ -211,13 +211,10 @@ def ghost(p: WittVector) -> GhostVector:
     bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1) read off from P*B = t*P'."""
     ring = p.ring
     a = p.series.coeffs
-    b = []
+    b = [ring.zero]  # b[n] is the n-th ghost coordinate; b[0] is never read
     for n in range(1, len(a)):
-        acc = ring.zero
-        for i in range(1, n):
-            acc = ring.add(acc, ring.mul(a[i], b[n - 1 - i]))
-        b.append(ring.sub(ring.scalar_mul(a[n], n), acc))
-    return GhostVector(ring, b)
+        b.append(ring.neg(_conv(ring, a, b, n, ring.scalar_mul(a[n], -n))))
+    return GhostVector(ring, b[1:])
 
 
 def ghost_inverse(g: GhostVector) -> WittVector:
@@ -229,14 +226,11 @@ def ghost_inverse(g: GhostVector) -> WittVector:
     vector of anything.
     """
     ring = g.ring
-    b = g.coords
+    b = (ring.zero,) + g.coords  # b[n] is the n-th ghost coordinate; b[0] is never read
     a = [ring.one]
-    for n in range(1, len(b) + 1):
-        acc = b[n - 1]
-        for i in range(1, n):
-            acc = ring.add(acc, ring.mul(a[i], b[n - 1 - i]))
+    for n in range(1, len(b)):
         try:
-            a.append(ring.divide_exact(acc, n))
+            a.append(ring.divide_exact(_conv(ring, a, b, n, b[n]), n))
         except IntegralityError as exc:
             raise IntegralityError(
                 f"no Witt vector has these ghost coordinates: "

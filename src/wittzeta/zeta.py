@@ -340,15 +340,11 @@ def rational_reconstruct(source: WittVector | TruncatedSeries, dmax: int) -> Rat
             f"reconstruction with dmax={dmax} needs precision >= {2 * dmax}, got {prec}",
             required=2 * dmax,
         )
-    c = series.coeffs
-    conn, length = _shortest_recurrence(c[1:])
+    conn, length = _shortest_recurrence(series.coeffs[1:])
     if length <= dmax and all(v.denominator == 1 for v in conn):
         den = IntPolynomial([int(v) for v in conn])
-        num_coeffs = [
-            sum(den.coefficient(i) * c[j - i] for i in range(min(j, length) + 1))
-            for j in range(dmax + 1)
-        ]
-        candidate = RationalFunction(IntPolynomial(num_coeffs), den)
+        den_series = TruncatedSeries(ZZ, [den.coefficient(i) for i in range(dmax + 1)])
+        candidate = RationalFunction(IntPolynomial((den_series * series).coeffs), den)
         if candidate.series(prec) == series:
             return candidate
     raise ReconstructionError(

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -176,6 +177,22 @@ def test_exit_code_2_on_deeply_nested_product_spec(capsys):
 def test_exit_code_2_on_deeply_nested_polynomial(capsys, poly):
     spec = json.dumps({"type": "equations", "p": 2, "vars": ["x"], "polys": [poly]})
     assert_one_malformed_input_line(*run_cli(capsys, "zeta", "--spec", spec, "-N", "1"))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "equations", "p": 2, "vars": ["x", "y"], "polys": ["(x+y+1)^200"]},
+        {"type": "equations", "p": 2, "vars": ["x", "y"], "polys": ["(x+1)^100000"]},
+    ],
+    ids=["trinomial-200", "binomial-100000"],
+)
+def test_exit_code_2_on_polynomial_past_the_product_cap(capsys, spec):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "zeta", "--spec", json.dumps(spec), "-N", "1")
+    assert time.perf_counter() - start < 5
+    assert_one_malformed_input_line(code, out, err)
+    assert "1048576 term products" in json.loads(err)["error"]["message"]
 
 
 def test_exit_code_2_on_strong_pseudoprime_field_size(capsys):

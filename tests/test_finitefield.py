@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -447,6 +448,15 @@ def test_parse_polynomial_grammar():
     assert parse_polynomial("(x + y)^2", names) == parse_polynomial("x^2 + 2*x*y + y^2", names)
     assert parse_polynomial("-x", names) == parse_polynomial("0 - x", names)
     assert parse_polynomial("2", names) == parse_polynomial("1 + 1", names)
+
+
+def test_parse_polynomial_expands_powers_up_to_the_product_cap():
+    binomial = parse_polynomial("(x + 1)^1000", ("x",))
+    assert binomial.terms == {(k,): math.comb(1000, k) for k in range(1001)}
+    assert parse_polynomial("x^1000000000 - x", ("x",)).terms == {(10**9,): 1, (1,): -1}
+    # no single product here reaches the cap: the count runs across the whole parse
+    with pytest.raises(SpecError, match="1048576 term products"):
+        parse_polynomial("(x + y + 1)^44 * (x + y + 1)^43", ("x", "y"))
 
 
 @pytest.mark.parametrize("text", ["x +", "x ** 2", "q", "x y", "(x", "x @ y"])

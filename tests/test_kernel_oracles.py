@@ -1,13 +1,16 @@
 """Differential tests: the Witt kernel against the routes it replaced.
 
-``ghost`` runs the one-pass recurrence from P*B = t*P', and
-``TruncatedSeries.pow_int`` and ``nth_root`` share the one-pass power
-recurrence.  The routes they replaced are kept here as oracles: the ghost
-map as the series product t*P' * P^(-1), integer powers by square-and-multiply
-(inverting first for a negative exponent), and the n-th root degree by
+The series product and inverse, ``ghost`` and ``ghost_inverse`` run their
+inner sums through one helper, started from each recurrence's boundary term,
+and ``TruncatedSeries.pow_int`` and ``nth_root`` share the one-pass power
+recurrence.  The routes they replaced are kept here as oracles: the four
+recurrences as hand-written loops, each sum started from zero; the ghost map
+also as the series product t*P' * P^(-1); integer powers by square-and-multiply
+(inverting first for a negative exponent); and the n-th root degree by
 degree, re-raising the partial root to the n-th power at every step.
-``old_routes`` swaps all three in, so a computation run under it uses the
-old routes at every nesting level.
+``old_routes`` swaps the loops, the powers and the roots in, so a computation
+run under it uses the old routes at every nesting level, and the
+series-quotient ghost run under it shares no code with the new kernel.
 
 The cases are Witt vectors and series over ZZ, ZZ[z], W_3(ZZ) and
 W_2(W_3(ZZ)); the last, at precision 2, are elements of the three-level
@@ -30,6 +33,71 @@ from wittzeta import witt
 from wittzeta.errors import IntegralityError
 from wittzeta.rings import IntPolynomial, TruncatedSeries, ZPOLY, ZZ, binary_power
 from wittzeta.witt import GhostVector, WittRing, WittVector, witt_mul, witt_scale
+
+
+def series_mul_by_loop(self: TruncatedSeries, other: TruncatedSeries) -> TruncatedSeries:
+    """The series product, each coefficient a sum from zero over i = 0..k."""
+    if not isinstance(other, TruncatedSeries):
+        return NotImplemented
+    ring = self.ring
+    if other.ring != ring:
+        raise ValueError("series live over different rings")
+    n = min(self.prec, other.prec)
+    a, b = self.coeffs, other.coeffs
+    out = []
+    for k in range(n + 1):
+        acc = ring.zero
+        for i in range(k + 1):
+            acc = ring.add(acc, ring.mul(a[i], b[k - i]))
+        out.append(acc)
+    return TruncatedSeries._make(ring, tuple(out))
+
+
+def inverse_by_loop(self: TruncatedSeries) -> TruncatedSeries:
+    """The series inverse, inv_k = -(s_1*inv_{k-1} + ... + s_k*inv_0) summed from zero."""
+    ring = self.ring
+    if not ring.eq(self.coeffs[0], ring.one):
+        raise ValueError("series inverse requires constant term 1")
+    inv = [ring.one]
+    for k in range(1, self.prec + 1):
+        acc = ring.zero
+        for i in range(1, k + 1):
+            acc = ring.add(acc, ring.mul(self.coeffs[i], inv[k - i]))
+        inv.append(ring.neg(acc))
+    return TruncatedSeries._make(ring, tuple(inv))
+
+
+def ghost_by_loop(p: WittVector) -> GhostVector:
+    """bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1), the sum started from zero."""
+    ring = p.ring
+    a = p.series.coeffs
+    b = []
+    for n in range(1, len(a)):
+        acc = ring.zero
+        for i in range(1, n):
+            acc = ring.add(acc, ring.mul(a[i], b[n - 1 - i]))
+        b.append(ring.sub(ring.scalar_mul(a[n], n), acc))
+    return GhostVector(ring, b)
+
+
+def ghost_inverse_by_loop(g: GhostVector) -> WittVector:
+    """The Newton recursion n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1."""
+    ring = g.ring
+    b = g.coords
+    a = [ring.one]
+    for n in range(1, len(b) + 1):
+        acc = b[n - 1]
+        for i in range(1, n):
+            acc = ring.add(acc, ring.mul(a[i], b[n - 1 - i]))
+        try:
+            a.append(ring.divide_exact(acc, n))
+        except IntegralityError as exc:
+            raise IntegralityError(
+                f"no Witt vector has these ghost coordinates: "
+                f"the Newton step at degree {n} is not divisible by {n}",
+                degree=n,
+            ) from exc
+    return WittVector(TruncatedSeries._make(ring, tuple(a)))
 
 
 def ghost_by_series_quotient(p: WittVector) -> GhostVector:
@@ -72,16 +140,26 @@ def nth_root_by_powering(self: TruncatedSeries, n: int) -> TruncatedSeries:
     return TruncatedSeries._make(ring, tuple(root))
 
 
+OLD_ROUTES = (
+    (witt, "ghost", ghost_by_loop),
+    (witt, "ghost_inverse", ghost_inverse_by_loop),
+    (TruncatedSeries, "__mul__", series_mul_by_loop),
+    (TruncatedSeries, "inverse", inverse_by_loop),
+    (TruncatedSeries, "pow_int", pow_by_squaring),
+    (TruncatedSeries, "nth_root", nth_root_by_powering),
+)
+
+
 @contextmanager
 def old_routes():
-    saved = witt.ghost, TruncatedSeries.pow_int, TruncatedSeries.nth_root
-    witt.ghost, TruncatedSeries.pow_int, TruncatedSeries.nth_root = (
-        ghost_by_series_quotient, pow_by_squaring, nth_root_by_powering
-    )
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in OLD_ROUTES]
+    for owner, name, route in OLD_ROUTES:
+        setattr(owner, name, route)
     try:
         yield
     finally:
-        witt.ghost, TruncatedSeries.pow_int, TruncatedSeries.nth_root = saved
+        for owner, name, route in saved:
+            setattr(owner, name, route)
 
 
 def outcome(fn):
@@ -134,7 +212,41 @@ def test_ghost_and_witt_mul_match_the_series_quotient_route(case, data):
     q = data.draw(witt_vectors(ring, prec))
     new, old = on_both_routes(lambda: witt.ghost(p).coords)
     assert new == old
+    with old_routes():
+        assert ghost_by_series_quotient(p).coords == old
     new, old = on_both_routes(lambda: witt_mul(p, q).coeffs)
+    assert new == old
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@DIFFERENTIAL
+@given(data=st.data())
+def test_ghost_inverse_matches_the_newton_loop_on_any_coordinates(case, data):
+    ring, max_prec = CASES[case]
+    prec = data.draw(st.integers(1, max_prec))
+    p = data.draw(witt_vectors(ring, prec))
+    coords = list(witt.ghost(p).coords)
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, prec - 1))
+        coords[k] = ring.add(coords[k], data.draw(elements(ring)))
+    g = GhostVector(ring, coords)
+    new, old = on_both_routes(lambda: witt.ghost_inverse(g).coeffs)
+    assert new == old
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@DIFFERENTIAL
+@given(data=st.data())
+def test_series_product_and_inverse_match_the_loops(case, data):
+    ring, max_prec = CASES[case]
+    prec = data.draw(st.integers(0, max_prec))
+    s = TruncatedSeries(ring, data.draw(st.lists(elements(ring), min_size=prec + 1, max_size=prec + 1)))
+    u = TruncatedSeries(ring, [ring.one] + data.draw(st.lists(elements(ring), min_size=prec, max_size=prec)))
+    new, old = on_both_routes(lambda: (s * u).coeffs)
+    assert new == old
+    new, old = on_both_routes(lambda: (u * s).coeffs)
+    assert new == old
+    new, old = on_both_routes(lambda: u.inverse().coeffs)
     assert new == old
 
 

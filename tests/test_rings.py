@@ -6,6 +6,7 @@ import pytest
 
 from wittzeta.errors import IntegralityError
 from wittzeta.rings import IntPolynomial, Ring, TruncatedSeries, ZPOLY, ZZ, binary_power
+from wittzeta.witt import WittVector, ghost, ghost_inverse, witt_mul
 
 
 def convolve(a, b, n):
@@ -203,7 +204,8 @@ def test_scalar_mul_agrees_with_repeated_addition():
 
 class GaussianIntegers(Ring):
     """A minimal user-defined ring, ZZ[i] on pairs, that keeps the inherited
-    ``scalar_mul`` and ``from_int``."""
+    ``scalar_mul`` and ``from_int``.  Its elements are tuples, which concatenate
+    under ``+``, so a kernel that used element operators would go wrong here."""
 
     zero, one = (0, 0), (1, 0)
 
@@ -220,7 +222,10 @@ class GaussianIntegers(Ring):
         return x == y
 
     def divide_exact(self, x, n):
-        raise NotImplementedError
+        (re, r1), (im, r2) = divmod(x[0], n), divmod(x[1], n)
+        if r1 or r2:
+            raise IntegralityError(f"{x} is not divisible by {n}")
+        return (re, im)
 
 
 @pytest.mark.parametrize("k", list(range(-5, 6)) + [1000])
@@ -233,6 +238,23 @@ def test_inherited_scalar_mul_and_from_int_agree_with_repeated_addition(k):
         expected = ring.neg(acc) if k < 0 else acc
         assert ring.scalar_mul(x, k) == expected == (k * x[0], k * x[1])
     assert ring.from_int(k) == (k, 0)
+
+
+def test_kernels_use_only_the_ring_handle_of_a_user_ring():
+    ring = GaussianIntegers()
+    rng = random.Random(1009)
+
+    def gaussian():
+        return (rng.randint(-5, 5), rng.randint(-5, 5))
+
+    for prec in (1, 2, 5, 8):
+        for _ in range(10):
+            p = WittVector.from_coeffs(ring, [gaussian() for _ in range(prec)])
+            q = WittVector.from_coeffs(ring, [gaussian() for _ in range(prec)])
+            assert ghost_inverse(ghost(p)) == p
+            assert ghost(witt_mul(p, q)) == ghost(p) * ghost(q)
+            s = TruncatedSeries(ring, [ring.one] + [gaussian() for _ in range(prec)])
+            assert s * s.inverse() == TruncatedSeries.one(ring, prec)
 
 
 def test_binary_power_matches_builtin_pow():
