@@ -17,15 +17,18 @@ Exit codes: 0 success, 1 failed check suite, 2 malformed input, 3
 integrality failure (inconsistent counts, non-divisible Newton step), 4
 point-counting budget exceeded, 5 precision shortfall.  The environment
 variable WITTZETA_ENUM_BUDGET overrides the default point-counting budget.
+Integers in these documents carry up to _WIRE_DIGITS digits, past CPython's
+int/str limit (which still holds for specs): more exits 2 in, 4 out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .checks import CRITERIA, run_checks
 from .errors import BudgetError, IntegralityError, PrecisionError, SpecError
@@ -56,9 +59,41 @@ def _read_argument(text: str) -> str:
     return text
 
 
-def _parse_json(text: str, what: str) -> Any:
+_WIRE_DIGITS = 100_000
+
+
+def _lifted(convert: Callable[..., Any], *args: Any) -> Any:
+    """convert(*args) with CPython's int/str digit limit (3.10.7+) lifted for this call only."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return convert(*args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return json.loads(_read_argument(text))
+        return convert(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _int_to_wire(n: int) -> str:
+    """n in decimal; BudgetError (exit 4), with required = its digits, past _WIRE_DIGITS."""
+    k = int((abs(n).bit_length() - 1) * math.log10(2)) + 1  # n has the k digits of 2**(bits-1), or k+1
+    if k >= _WIRE_DIGITS and (digits := k + (abs(n) >= 10**k)) > _WIRE_DIGITS:
+        raise BudgetError(f"an output integer has {digits} digits, the wire carries at most {_WIRE_DIGITS}",
+                          required=digits, budget=_WIRE_DIGITS)
+    return _lifted(str, n)
+
+
+def _int_from_wire(value: Any, what: str) -> int:
+    """A JSON integer or decimal string of at most _WIRE_DIGITS digits, else SpecError (exit 2)."""
+    if isinstance(value, str) and len(value) > _WIRE_DIGITS and sum(map(str.isdigit, value)) > _WIRE_DIGITS:
+        raise SpecError(f"{what} has more than {_WIRE_DIGITS} digits")
+    return _lifted(_as_int, value, what)
+
+
+def _parse_json(text: str, what: str, wire: bool = False) -> Any:
+    parse_int = (lambda s: _int_from_wire(s, "an integer literal")) if wire else None
+    try:
+        return json.loads(_read_argument(text), parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -84,7 +119,7 @@ def encode_witt(vector: WittVector) -> dict:
         if isinstance(c, WittVector):
             coeffs.append(encode_witt(c))
         elif isinstance(c, int):
-            coeffs.append(str(c))
+            coeffs.append(_int_to_wire(c))
         else:
             raise SpecError(f"cannot serialize coefficients of type {type(c).__name__}")
     return {"precision": vector.prec, "coeffs": coeffs}
@@ -100,7 +135,7 @@ def decode_witt(obj: Any) -> WittVector:
     coeffs = obj.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != prec:
         raise SpecError("coeffs must be a list of length precision")
-    values = [_as_int(c, "coefficient") for c in coeffs]
+    values = [_int_from_wire(c, "coefficient") for c in coeffs]
     if prec < 1:
         raise SpecError("precision must be at least 1")
     return WittVector.from_coeffs(ZZ, values)
@@ -109,19 +144,19 @@ def decode_witt(obj: Any) -> WittVector:
 def decode_ghost(obj: Any) -> GhostVector:
     if not isinstance(obj, list) or not obj:
         raise SpecError("ghost coordinates must be a nonempty JSON array")
-    return GhostVector(ZZ, [_as_int(c, "ghost coordinate") for c in obj])
+    return GhostVector(ZZ, [_int_from_wire(c, "ghost coordinate") for c in obj])
 
 
 def encode_ghost(g: GhostVector) -> dict:
-    return {"precision": g.prec, "ghost": [str(c) for c in g.coords]}
+    return {"precision": g.prec, "ghost": [_int_to_wire(c) for c in g.coords]}
 
 
 def encode_rational(rf: RationalFunction) -> dict:
     doc = {
-        "num": [str(rf.num.coefficient(k)) for k in range(max(rf.num.degree, 0) + 1)],
-        "den": [str(rf.den.coefficient(k)) for k in range(max(rf.den.degree, 0) + 1)],
+        "num": [_int_to_wire(rf.num.coefficient(k)) for k in range(max(rf.num.degree, 0) + 1)],
+        "den": [_int_to_wire(rf.den.coefficient(k)) for k in range(max(rf.den.degree, 0) + 1)],
     }
-    shown = rf.display()
+    shown = _lifted(rf.display)
     if shown is not None:
         doc["display"] = shown
     return doc
@@ -192,7 +227,7 @@ def _witt_operands(args: argparse.Namespace) -> list[WittVector]:
             raise SpecError("precision must be at least 1")
         operands.append(teichmuller(a, args.precision, ZZ))
     for text in args.witt:
-        operands.append(decode_witt(_parse_json(text, "Witt vector document")))
+        operands.append(decode_witt(_parse_json(text, "Witt vector document", wire=True)))
     return operands
 
 
@@ -201,7 +236,7 @@ def cmd_witt(args: argparse.Namespace) -> int:
     if op == "unghost":
         if args.ghost is None:
             raise SpecError("unghost needs --ghost coordinates")
-        g = decode_ghost(_parse_json(args.ghost, "ghost coordinates"))
+        g = decode_ghost(_parse_json(args.ghost, "ghost coordinates", wire=True))
         _emit(encode_witt(ghost_inverse(g)))
         return 0
     operands = _witt_operands(args)
@@ -268,25 +303,20 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.spec is not None:
         if args.precision is None:
             raise SpecError("reconstruct --spec needs -N for the zeta precision")
-        spec = _decode_spec_arg(args)
-        counts = point_counts(spec, args.precision, _budget())
+        counts = point_counts(_decode_spec_arg(args), args.precision, _budget())
         vector = zeta_from_counts(counts, args.precision)
     else:
-        vector = decode_witt(_parse_json(args.witt, "Witt vector document"))
+        vector = decode_witt(_parse_json(args.witt, "Witt vector document", wire=True))
     _emit(encode_rational(rational_reconstruct(vector, args.dmax)))
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    names: Sequence[str] | None
-    if not args.suites or args.suites == ["all"]:
-        names = None
-    else:
-        names = args.suites
+    names = None if not args.suites or args.suites == ["all"] else args.suites
     try:
         results = run_checks(names)
     except KeyError as exc:
-        raise SpecError(str(exc)) from exc
+        raise SpecError(exc.args[0]) from exc
     for entry in results:
         status = "PASS" if entry["passed"] else "FAIL"
         sys.stderr.write(f"{entry['criterion']}: {status} - {entry['detail']}\n")

@@ -28,6 +28,7 @@ from .rings import IntPolynomial, binary_power
 
 DEFAULT_ENUM_BUDGET = 1 << 24
 _PARSE_PRODUCT_CAP = 1 << 20
+_PARSE_COEFF_BITS = 1 << 12
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -187,12 +188,12 @@ class FiniteField:
     zero, one = 0, 1
 
     def __init__(self, p: int, k: int, modulus: IntPolynomial | None = None):
-        if not is_prime(p):
-            raise SpecError(f"{p} is not prime")
-        if k < 1:
-            raise SpecError("extension degree must be at least 1")
         if modulus is None:
-            modulus = find_irreducible(p, k)
+            modulus = find_irreducible(p, k)  # which proves p prime and checks k
+        elif not is_prime(p):
+            raise SpecError(f"{p} is not prime")
+        elif k < 1:
+            raise SpecError("extension degree must be at least 1")
         elif modulus.degree != k or modulus.leading() != 1:
             raise SpecError(f"modulus must be monic of degree {k}")
         elif any(not 0 <= c < p for c in modulus.coeffs):
@@ -419,8 +420,10 @@ def parse_polynomial(text: str, varnames: Sequence[str]) -> MultiPoly:
     """Parse an expression over the named variables into a MultiPoly.
 
     Expanding products and powers may take at most ``_PARSE_PRODUCT_CAP``
-    term products in all, counted before each product is formed; past it
-    the parse raises SpecError instead of running without bound.
+    term products in all, and no product may have a coefficient of more
+    than ``_PARSE_COEFF_BITS`` bits, both bounded before each product is
+    formed; past either cap the parse raises SpecError instead of running
+    without bound.
     """
     nvars = len(varnames)
     index = {name: i for i, name in enumerate(varnames)}
@@ -435,6 +438,9 @@ def parse_polynomial(text: str, varnames: Sequence[str]) -> MultiPoly:
             raise SpecError(
                 f"expanding polynomial {text!r} needs more than {_PARSE_PRODUCT_CAP} term products"
             )
+        bits = sum(max((abs(c).bit_length() for c in h.terms.values()), default=0) for h in (f, g))
+        if bits + min(len(f.terms), len(g.terms)).bit_length() > _PARSE_COEFF_BITS:
+            raise SpecError(f"expanding polynomial {text!r} needs coefficients past {_PARSE_COEFF_BITS} bits")
         return f * g
 
     def peek() -> str:
@@ -501,6 +507,13 @@ def parse_polynomial(text: str, varnames: Sequence[str]) -> MultiPoly:
     return result
 
 
+def _charge_budget(required: int, budget: int) -> None:
+    """The one enumeration budget gate: refuse a search space of size required past budget."""
+    if required > budget:
+        raise BudgetError(f"the search space has size {required}, budget is {budget}",
+                          required=required, budget=budget)
+
+
 def _check_system(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: int) -> None:
     """Validate the arity and refuse a search space of more than budget points."""
     if nvars < 1:
@@ -508,11 +521,7 @@ def _check_system(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, bu
     for f in polys:
         if f.nvars != nvars:
             raise ValueError("polynomial arity does not match the variable count")
-    required = field.size**nvars
-    if required > budget:
-        raise BudgetError(
-            f"the search space has {required} points, budget is {budget}", required=required, budget=budget
-        )
+    _charge_budget(field.size**nvars, budget)
 
 
 def iter_affine_solutions(

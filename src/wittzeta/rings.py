@@ -119,7 +119,7 @@ class IntegerRing(Ring):
             raise ValueError("divisor must be a positive integer")
         q, r = divmod(x, n)
         if r:
-            raise IntegralityError(f"{x} is not divisible by {n}")
+            raise IntegralityError(f"a {x.bit_length()}-bit integer is not divisible by {n}")
         return q
 
     def check(self, x: Element) -> int:
@@ -314,7 +314,7 @@ class IntPolynomialRing(Ring):
         for c in x.coeffs:
             q, r = divmod(c, n)
             if r:
-                raise IntegralityError(f"coefficient {c} is not divisible by {n}")
+                raise IntegralityError(f"a {c.bit_length()}-bit coefficient is not divisible by {n}")
             out.append(q)
         return IntPolynomial(out)
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union, get_args
 
-from .errors import BudgetError, InconsistentCountsError, PrecisionError, SpecError
+from .errors import InconsistentCountsError, PrecisionError, SpecError
 from .finitefield import (
     DEFAULT_ENUM_BUDGET,
     FiniteField,
     MultiPoly,
+    _charge_budget,
     count_affine_points,
     is_prime,
     iter_affine_solutions,
@@ -90,13 +91,12 @@ class ProductSpec:
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise SpecError("a product needs at least one factor")
-        qs = {spec_field_size(f) for f in self.factors}
-        if len(qs) > 1:
+        if len({spec_field_size(f) for f in self.factors}) > 1:
             raise SpecError("product factors must share the base field")
 
     @property
     def q(self) -> int:
-        return spec_field_size(self.factors[0])
+        return self.factors[0].q
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,7 @@ class EquationsSpec:
     @classmethod
     def from_strings(cls, p: int, variables: Sequence[str], polys: Sequence[str]) -> "EquationsSpec":
         names = tuple(variables)
-        parsed = tuple(parse_polynomial(text, names) for text in polys)
-        return cls(p, names, parsed)
+        return cls(p, names, tuple(parse_polynomial(text, names) for text in polys))
 
     @property
     def q(self) -> int:
@@ -153,13 +152,9 @@ VarietySpec = Union[AffineSpace, ProjectiveSpace, EllipticCurve, ProductSpec, Co
 
 def spec_field_size(spec: VarietySpec) -> int:
     """The size q of the base field the spec is defined over."""
-    if isinstance(spec, (AffineSpace, ProjectiveSpace, CountsSpec)):
-        return spec.q
-    if isinstance(spec, (EllipticCurve, EquationsSpec)):
-        return spec.p
-    if isinstance(spec, ProductSpec):
-        return spec.q
-    raise SpecError(f"not a variety spec: {spec!r}")
+    if not isinstance(spec, get_args(VarietySpec)):
+        raise SpecError(f"not a variety spec: {spec!r}")
+    return spec.q
 
 
 @dataclass(frozen=True)
@@ -192,12 +187,7 @@ class PointCounts:
 def elliptic_trace(spec: EllipticCurve, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """The Frobenius trace a = p + 1 - N_1, from one brute-force count."""
     p = spec.p
-    if 2 * p > budget:
-        raise BudgetError(
-            f"enumeration needs {2 * p} steps, budget is {budget}",
-            required=2 * p,
-            budget=budget,
-        )
+    _charge_budget(2 * p, budget)
     a, b, cnt = spec.a, spec.b, bytearray(p)  # cnt[r] = #{y : y^2 = r} = 1 + (r | p)
     for y in range(1, (p + 1) // 2):
         cnt[y * y % p] = 2
@@ -207,8 +197,7 @@ def elliptic_trace(spec: EllipticCurve, budget: int = DEFAULT_ENUM_BUDGET) -> in
 
 def _elliptic_counts(spec: EllipticCurve, rmax: int, budget: int) -> tuple[int, ...]:
     """N_r = q^r + 1 - s_r with s_r = a*s_{r-1} - q*s_{r-2}, s_0 = 2."""
-    q = spec.p
-    a = elliptic_trace(spec, budget)
+    q, a = spec.q, elliptic_trace(spec, budget)
     s_prev, s = 2, a
     counts = []
     for r in range(1, rmax + 1):
@@ -225,34 +214,28 @@ def point_counts(spec: VarietySpec, rmax: int, budget: int = DEFAULT_ENUM_BUDGET
     """N_1..N_rmax for the given variety, exactly."""
     if rmax < 1:
         raise ValueError("count range must be at least 1")
+    rs = range(1, rmax + 1)
     if isinstance(spec, AffineSpace):
-        return PointCounts(spec.q, tuple(spec.q ** (spec.dim * r) for r in range(1, rmax + 1)))
-    if isinstance(spec, ProjectiveSpace):
-        return PointCounts(
-            spec.q,
-            tuple(sum(spec.q ** (i * r) for i in range(spec.dim + 1)) for r in range(1, rmax + 1)),
-        )
-    if isinstance(spec, EllipticCurve):
-        return PointCounts(spec.p, _elliptic_counts(spec, rmax, budget))
-    if isinstance(spec, ProductSpec):
-        factor_counts = [point_counts(f, rmax, budget) for f in spec.factors]
-        combined = tuple(
-            math.prod(fc.count(r) for fc in factor_counts) for r in range(1, rmax + 1)
-        )
-        return PointCounts(spec.q, combined)
-    if isinstance(spec, CountsSpec):
+        counts = tuple(spec.q ** (spec.dim * r) for r in rs)
+    elif isinstance(spec, ProjectiveSpace):
+        counts = tuple(sum(spec.q ** (i * r) for i in range(spec.dim + 1)) for r in rs)
+    elif isinstance(spec, EllipticCurve):
+        counts = _elliptic_counts(spec, rmax, budget)
+    elif isinstance(spec, ProductSpec):
+        counts = tuple(map(math.prod, zip(*(point_counts(f, rmax, budget).counts for f in spec.factors))))
+    elif isinstance(spec, CountsSpec):
         if len(spec.counts) < rmax:
             raise PrecisionError(
                 f"counts spec knows N_1..N_{len(spec.counts)} but range {rmax} was requested",
                 required=rmax,
             )
-        return PointCounts(spec.q, spec.counts[:rmax])
-    if isinstance(spec, EquationsSpec):
-        nvars = len(spec.variables)
-        out = [count_affine_points(spec.polys, nvars, FiniteField(spec.p, r), budget)
-               for r in range(1, rmax + 1)]
-        return PointCounts(spec.p, tuple(out))
-    raise SpecError(f"not a variety spec: {spec!r}")
+        counts = spec.counts[:rmax]
+    elif isinstance(spec, EquationsSpec):
+        counts = tuple(count_affine_points(spec.polys, len(spec.variables), FiniteField(spec.p, r), budget)
+                       for r in rs)
+    else:
+        raise SpecError(f"not a variety spec: {spec!r}")
+    return PointCounts(spec.q, counts)
 
 
 def base_change(counts: PointCounts, r: int) -> PointCounts:
@@ -270,13 +253,7 @@ def base_change(counts: PointCounts, r: int) -> PointCounts:
 
 def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int) -> list[Point]:
     """All affine points of the curve over the field, via a square table."""
-    work = 2 * field.size
-    if work > budget:
-        raise BudgetError(
-            f"enumeration needs {work} steps, budget is {budget}",
-            required=work,
-            budget=budget,
-        )
+    _charge_budget(2 * field.size, budget)
     a, b = field.from_int(spec.a), field.from_int(spec.b)
     roots: dict[int, list[int]] = {}
     for y in field.elements():
@@ -285,25 +262,27 @@ def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int
             for y in roots.get(field.add(field.mul(x, field.add(field.mul(x, x), a)), b), ())]
 
 
-def _enumerable_prime(spec: VarietySpec) -> int:
-    if isinstance(spec, (EllipticCurve, EquationsSpec)):
-        return spec.p
-    raise SpecError("brute-force enumeration needs an elliptic or equations spec")
-
-
-def _affine_points(spec: VarietySpec, field: FiniteField, budget: int) -> list[Point]:
+def _enumerations(
+    spec: VarietySpec, degrees: Iterable[int], budget: int
+) -> Iterator[tuple[FiniteField, list[Point], int]]:
+    """(F_{p^k}, affine points, points at infinity) for each k in degrees, each
+    field built and searched in turn; only elliptic (one rational point at
+    infinity) and equations specs enumerate, which is checked at once."""
+    if not isinstance(spec, (EllipticCurve, EquationsSpec)):
+        raise SpecError("brute-force enumeration needs an elliptic or equations spec")
+    fields = (FiniteField(spec.p, k) for k in degrees)
     if isinstance(spec, EllipticCurve):
-        return _elliptic_affine_points(spec, field, budget)
-    return list(iter_affine_solutions(spec.polys, len(spec.variables), field, budget))
+        return ((field, _elliptic_affine_points(spec, field, budget), 1) for field in fields)
+    nvars = len(spec.variables)
+    return ((field, list(iter_affine_solutions(spec.polys, nvars, field, budget)), 0) for field in fields)
 
 
 def point_count_by_enumeration(
     spec: VarietySpec, r: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> int:
     """N_r by direct enumeration over F_{p^r}; elliptic includes infinity."""
-    field = FiniteField(_enumerable_prime(spec), r)
-    n = len(_affine_points(spec, field, budget))
-    return n + 1 if isinstance(spec, EllipticCurve) else n
+    [(_, points, infinity)] = _enumerations(spec, [r], budget)
+    return len(points) + infinity
 
 
 def closed_point_counts(
@@ -313,17 +292,15 @@ def closed_point_counts(
 
     The degree-d count enumerates X(F_{q^{rd}}) and groups it into orbits
     of the q^r-power Frobenius; the orbits of size exactly d are the
-    closed points of degree d.  The single elliptic point at infinity is
-    rational over the prime field, hence a degree-1 closed point.
+    closed points of degree d.  Points at infinity are rational, so they
+    are orbits of size 1.
     """
-    p = _enumerable_prime(spec)
-    frob_exp = p**r
+    searches = _enumerations(spec, range(r, r * dmax + 1, r), budget)
+    frob_exp = spec.q**r
     out = []
-    for d in range(1, dmax + 1):
-        field = FiniteField(p, r * d)
-        points = _affine_points(spec, field, budget)
+    for d, (field, points, infinity) in enumerate(searches, start=1):
         seen: set[Point] = set()
-        orbits = 0
+        orbits = infinity if d == 1 else 0
         for pt in points:
             if pt not in seen:
                 orbit = [pt]
@@ -331,8 +308,6 @@ def closed_point_counts(
                     orbit.append(cur)
                 seen.update(orbit)
                 orbits += len(orbit) == d
-        if d == 1 and isinstance(spec, EllipticCurve):
-            orbits += 1
         out.append(orbits)
     return tuple(out)
 

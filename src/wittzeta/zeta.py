@@ -6,7 +6,10 @@ element of W_N(ZZ) whose ghost coordinates are exactly the point counts
 N_1..N_N.  That makes assembly a single ghost inversion
 (``zeta_from_counts``) and gives a second, independent construction
 through the Euler product over closed points (``euler_product_zeta``);
-the two must agree on any honest count table.
+the two must agree on any honest count table.  Every route first runs the
+one test of honesty, ``closed_point_degree_counts``: the closed-point
+counts a_d must be nonnegative integers.  Their integrality is the
+ghost-image criterion, so a table that passes inverts integrally.
 
 Symmetric powers ride on the same recursion: the r-th count of Sym^n X is
 the degree-n series coefficient obtained by ghost-inverting the subsampled
@@ -22,12 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    InconsistentCountsError,
-    IntegralityError,
-    PrecisionError,
-    ReconstructionError,
-)
+from .errors import InconsistentCountsError, PrecisionError, ReconstructionError
 from .finitefield import DEFAULT_ENUM_BUDGET
 from .rings import IntPolynomial, TruncatedSeries, ZZ
 from .sigma import sigma_witt
@@ -36,7 +34,7 @@ from .witt import GhostVector, WittVector, ghost_inverse, witt_one
 
 
 def zeta_from_counts(counts: PointCounts, prec: int) -> WittVector:
-    """Z(X, t) to precision N, by ghost-inverting the count table."""
+    """Z(X, t) to precision N: the closed-point test, then one ghost inversion."""
     if prec < 1:
         raise ValueError("precision must be at least 1")
     if counts.range < prec:
@@ -44,14 +42,8 @@ def zeta_from_counts(counts: PointCounts, prec: int) -> WittVector:
             f"zeta to precision {prec} needs counts N_1..N_{prec}, got range {counts.range}",
             required=prec,
         )
-    try:
-        zeta = ghost_inverse(GhostVector(ZZ, counts.counts[:prec]))
-    except IntegralityError as exc:
-        raise InconsistentCountsError(
-            f"counts are not the point counts of a variety: {exc}", degree=exc.degree
-        ) from exc
     closed_point_degree_counts(counts, prec)
-    return zeta
+    return ghost_inverse(GhostVector(ZZ, counts.counts[:prec]))
 
 
 def mobius(n: int) -> int:
@@ -73,22 +65,25 @@ def mobius(n: int) -> int:
 
 
 def closed_point_degree_counts(counts: PointCounts, dmax: int) -> tuple[int, ...]:
-    """Closed points of each degree 1..dmax, by Moebius inversion of N_r."""
+    """Closed points a_1..a_dmax of each degree: the one test of a count table.
+
+    N_m = sum_{d | m} d*a_d, so one forward pass subtracts each d*a_d from
+    N_m for every multiple m of d, in O(N log N) steps; the first degree whose
+    a_d is not a nonnegative integer raises InconsistentCountsError."""
     if counts.range < dmax:
         raise PrecisionError(
             f"degree-{dmax} closed points need counts to range {dmax}, got {counts.range}",
             required=dmax,
         )
-    out = []
+    rest = list(counts.counts[:dmax])  # rest[d-1] is d*a_d once the pass reaches d
     for d in range(1, dmax + 1):
-        total = sum(mobius(e) * counts.count(d // e) for e in range(1, d + 1) if d % e == 0)
-        a_d, rem = divmod(total, d)
-        if rem or a_d < 0:
+        if rest[d - 1] % d or rest[d - 1] < 0:
             raise InconsistentCountsError(
                 f"counts admit no consistent closed-point count in degree {d}", degree=d
             )
-        out.append(a_d)
-    return tuple(out)
+        for m in range(2 * d, dmax + 1, d):
+            rest[m - 1] -= rest[d - 1]
+    return tuple(rest[d - 1] // d for d in range(1, dmax + 1))
 
 
 def euler_product_zeta(counts: PointCounts, prec: int) -> WittVector:
@@ -101,10 +96,8 @@ def euler_product_zeta(counts: PointCounts, prec: int) -> WittVector:
     """
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    degree_counts = closed_point_degree_counts(counts, prec)
     series = TruncatedSeries.one(ZZ, prec)
-    for d in range(1, prec + 1):
-        a_d = degree_counts[d - 1]
+    for d, a_d in enumerate(closed_point_degree_counts(counts, prec), start=1):
         if a_d == 0:
             continue
         factor = [1] + [0] * prec
@@ -118,7 +111,8 @@ def sym_power_counts(counts: PointCounts, n: int, rmax: int) -> PointCounts:
 
     The r-th count is the degree-n coefficient of Z(X/F_{q^r}, t), read
     off by ghost-inverting the subsampled counts (N_r, N_2r, ..., N_nr);
-    it therefore needs the counts of X out to range n*rmax.
+    it therefore needs the counts of X out to range n*rmax, which pass
+    the closed-point test first.
     """
     if n < 0:
         raise ValueError("symmetric power index must be nonnegative")
@@ -131,18 +125,9 @@ def sym_power_counts(counts: PointCounts, n: int, rmax: int) -> PointCounts:
             f"Sym^{n} counts to range {rmax} need input range {n * rmax}, got {counts.range}",
             required=n * rmax,
         )
-    out = []
-    for r in range(1, rmax + 1):
-        sub = tuple(counts.count(r * j) for j in range(1, n + 1))
-        try:
-            w = ghost_inverse(GhostVector(ZZ, sub))
-        except IntegralityError as exc:
-            raise InconsistentCountsError(
-                f"counts are inconsistent at Sym^{n}, r={r}: {exc}", degree=exc.degree
-            ) from exc
-        out.append(w.coefficient(n))
     closed_point_degree_counts(counts, n * rmax)
-    return PointCounts(counts.q, tuple(out))
+    subsamples = (counts.counts[r - 1 : n * r : r] for r in range(1, rmax + 1))
+    return PointCounts(counts.q, tuple(ghost_inverse(GhostVector(ZZ, sub)).coefficient(n) for sub in subsamples))
 
 
 def sym_zeta(

@@ -1,5 +1,6 @@
 """Tests for the command line surface: documents, exit codes, determinism."""
 
+import contextlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from wittzeta.cli import decode_witt, encode_witt, main
+from wittzeta.cli import _int_from_wire, _int_to_wire, decode_witt, encode_witt, main
 from wittzeta.rings import ZZ
 from wittzeta.witt import WittVector, teichmuller, witt_add
 
@@ -259,6 +260,100 @@ def test_budget_env_var_must_be_positive(capsys, monkeypatch):
     assert code == 2
 
 
+# --- integers past CPython's int/str digit limit ---
+
+
+def digit_limit():
+    """CPython's int/str digit limit, or 0 on builds without one (3.10.6 and older)."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    limit = digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_outputs_past_the_digit_limit_are_written_and_read_back(capsys):
+    limit = digit_limit()
+    zeta = run_json(capsys, "zeta", "--spec", '{"type":"affine","dim":15000,"q":2}', "-N", "2")
+    with no_digit_limit():
+        expected = [str(2**15000), str(2**30000)]
+    assert zeta["coeffs"] == expected and len(expected[0]) == 4516
+    neg = run_json(capsys, "witt", "neg", "--witt", json.dumps(zeta), "-N", "1")
+    assert neg["coeffs"] == ["-" + expected[0]]
+    rational = run_json(capsys, "reconstruct", "--witt", json.dumps(zeta), "--dmax", "1")
+    assert rational == {"num": ["1"], "den": ["1", "-" + expected[0]]}  # no display past 10**12
+    spec = '{"type":"affine","dim":15000,"q":2}'
+    assert run_json(capsys, "reconstruct", "--spec", spec, "-N", "2", "--dmax", "1") == rational
+    # (1 + K t)/(1 - t) = 1 + (K + 1)(t + t^2 + ...): the display renders K in full
+    k = "1" + "0" * 5000
+    doc = json.dumps({"precision": 4, "coeffs": [k[:-1] + "1"] * 4})
+    rational = run_json(capsys, "reconstruct", "--witt", doc, "--dmax", "1")
+    assert rational == {"num": ["1", k], "den": ["1", "-1"], "display": f"(1 + {k}*t)/(1-t)"}
+    assert digit_limit() == limit
+
+
+def test_integrality_failure_on_integers_past_the_digit_limit_exits_3(capsys):
+    # the Newton step at degree 2 divides 1 + 10**8000 by 2
+    code, out, err = run_cli(capsys, "witt", "unghost", "--ghost", "[1" + "0" * 4000 + ", 1]")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["degree"] == 2
+
+
+def test_output_past_the_wire_cap_exits_4_with_its_digits(capsys):
+    limit = digit_limit()
+    code, out, err = run_cli(capsys, "zeta", "--spec", '{"type":"affine","dim":340000,"q":2}', "-N", "1")
+    assert (code, out) == (4, "")
+    error = json.loads(err)["error"]
+    assert (error["code"], error["required"], error["budget"]) == ("budget-exceeded", 102351, 100000)
+    assert digit_limit() == limit
+
+
+def test_inputs_up_to_the_wire_cap_are_read(capsys):
+    at_cap = "-" + "9" * 100000
+    for ghost in (json.dumps([at_cap]), "[" + at_cap + "]"):
+        assert run_json(capsys, "witt", "unghost", "--ghost", ghost)["coeffs"] == [at_cap]
+    for ghost in (json.dumps(["1" + "0" * 100000]), "[1" + "0" * 100000 + "]"):
+        code, out, err = run_cli(capsys, "witt", "unghost", "--ghost", ghost)
+        assert_one_malformed_input_line(code, out, err)
+        assert "has more than 100000 digits" in json.loads(err)["error"]["message"]
+
+
+def test_specs_and_polynomials_stay_under_the_digit_limit(capsys):
+    literal = "1" + "0" * 4400
+    specs = [
+        '{"type":"counts","q":2,"counts":[' + literal + "]}",
+        json.dumps({"type": "equations", "p": 2, "vars": ["x"], "polys": ["x - " + literal]}),
+    ]
+    for spec in specs:
+        start = time.perf_counter()
+        assert_one_malformed_input_line(*run_cli(capsys, "zeta", "--spec", spec, "-N", "1"))
+        assert time.perf_counter() - start < 5
+
+
+def test_huge_integer_powers_in_a_polynomial_exit_2_at_once(capsys):
+    spec = json.dumps({"type": "equations", "p": 2, "vars": ["x"], "polys": ["x - 2^1000000000"]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "zeta", "--spec", spec, "-N", "1")
+    assert time.perf_counter() - start < 5
+    assert_one_malformed_input_line(code, out, err)
+    assert "coefficients past 4096 bits" in json.loads(err)["error"]["message"]
+
+
+def test_wire_integers_without_a_digit_limit(monkeypatch):
+    # Python 3.10 builds before 3.10.7 have no limit to lift
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert _int_to_wire(-12345) == "-12345"
+    assert _int_from_wire("678", "coefficient") == 678
+
+
 # --- check subcommand ---
 
 
@@ -274,6 +369,7 @@ def test_check_single_suite(capsys):
 def test_check_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "check", "nonexistent")
     assert code == 2
+    assert json.loads(err)["error"] == {"code": "malformed-input", "message": "unknown check names: nonexistent"}
 
 
 # --- serialization round trips and determinism ---

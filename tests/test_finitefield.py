@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wittzeta.finitefield as finitefield
 from wittzeta.errors import BudgetError, SpecError
 from wittzeta.finitefield import (
     FiniteField,
@@ -431,6 +432,25 @@ def test_field_rejects_bad_modulus():
         FiniteField(6, 1)
 
 
+def test_field_proves_its_prime_once(monkeypatch):
+    calls = []
+    prove = finitefield.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return prove(n)
+
+    modulus = find_irreducible(5, 3)
+    monkeypatch.setattr(finitefield, "is_prime", counted)
+    for build in (lambda: FiniteField(5, 3), lambda: FiniteField(5, 3, modulus)):
+        calls.clear()
+        build()
+        assert calls == [5]
+    for p, k, modulus in ((6, 1, None), (2, 0, None), (2, 0, IntPolynomial((1,))), (4, 1, IntPolynomial((0, 1)))):
+        with pytest.raises(SpecError):
+            FiniteField(p, k, modulus)
+
+
 # --- polynomial parsing and evaluation ---
 
 
@@ -457,6 +477,13 @@ def test_parse_polynomial_expands_powers_up_to_the_product_cap():
     # no single product here reaches the cap: the count runs across the whole parse
     with pytest.raises(SpecError, match="1048576 term products"):
         parse_polynomial("(x + y + 1)^44 * (x + y + 1)^43", ("x", "y"))
+
+
+def test_parse_polynomial_bounds_coefficient_bits_before_each_product():
+    assert parse_polynomial("x - 2^4000", ("x",)).terms == {(1,): 1, (0,): -(2**4000)}
+    for text in ("x - 2^5000", "x - 2^100000000", "x - 2^1000000000", "(2^2000*x + 1)^3"):
+        with pytest.raises(SpecError, match="coefficients past 4096 bits"):
+            parse_polynomial(text, ("x",))
 
 
 @pytest.mark.parametrize("text", ["x +", "x ** 2", "q", "x y", "(x", "x @ y"])

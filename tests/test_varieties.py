@@ -246,6 +246,35 @@ def test_enumeration_checks_the_spec_kind_before_building_a_field(spec, monkeypa
             enumerate_spec()
 
 
+@pytest.mark.parametrize("spec", [AffineSpace(1, 2), ProjectiveSpace(1, 2)])
+def test_closed_point_counts_refuses_a_closed_form_spec_even_with_no_degrees(spec):
+    with pytest.raises(SpecError, match="brute-force enumeration needs an elliptic or equations spec"):
+        closed_point_counts(spec, 1, 0)
+
+
+def test_closed_point_counts_with_no_degrees_is_empty():
+    assert closed_point_counts(E, 1, 0) == ()
+    assert closed_point_counts(CUBIC, 2, 0) == ()
+
+
+@pytest.mark.parametrize(
+    "search, required",
+    [
+        (lambda budget: elliptic_trace(E, budget), 10),  # 2p
+        (lambda budget: point_count_by_enumeration(E, 2, budget), 50),  # 2q over F_25
+        (lambda budget: point_count_by_enumeration(CUBIC, 3, budget), 64),  # q^n over F_8
+        (lambda budget: point_counts(CUBIC, 3, budget), 64),
+    ],
+    ids=["elliptic-trace", "elliptic-points", "equations-enumeration", "equations-root-count"],
+)
+def test_every_search_is_charged_by_one_budget_gate(search, required):
+    with pytest.raises(BudgetError) as info:
+        search(required - 1)
+    assert (info.value.required, info.value.budget) == (required, required - 1)
+    assert str(info.value) == f"the search space has size {required}, budget is {required - 1}"
+    search(required)  # a budget equal to the search space is enough
+
+
 def test_closed_point_counts_affine_line():
     # monic irreducible polynomial counts over F_2: degrees 1, 2, 3
     line = EquationsSpec.from_strings(2, ("x",), ())

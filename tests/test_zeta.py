@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittzeta.errors import InconsistentCountsError, PrecisionError, ReconstructionError
 from wittzeta.rings import IntPolynomial, TruncatedSeries, ZPOLY, ZZ
@@ -86,6 +87,91 @@ def test_closed_point_degree_counts_reject_negative():
     assert info.value.degree == 2
 
 
+def closed_points_by_mobius(counts, dmax):
+    """The Moebius scan the forward divisor pass replaced, kept as its oracle:
+    d*a_d = sum_{e | d} mu(e) N_{d/e}, with mu by trial factorization."""
+    out = []
+    for d in range(1, dmax + 1):
+        total = sum(mobius(e) * counts.count(d // e) for e in range(1, d + 1) if d % e == 0)
+        a_d, rem = divmod(total, d)
+        if rem or a_d < 0:
+            raise InconsistentCountsError(
+                f"counts admit no consistent closed-point count in degree {d}", degree=d
+            )
+        out.append(a_d)
+    return tuple(out)
+
+
+def euler_product_counts(degree_counts):
+    """N_1..N_R as the ghost of prod_d (1 - t^d)^(-a_d), each factor expanded as
+    sum_k C(a_d + k - 1, k) t^(dk)."""
+    prec = len(degree_counts)
+    series = TruncatedSeries.one(ZZ, prec)
+    for d, a_d in enumerate(degree_counts, start=1):
+        factor = [0] * (prec + 1)
+        for k in range(prec // d + 1):
+            factor[d * k] = math.comb(a_d + k - 1, k) if k else 1
+        series = series * TruncatedSeries(ZZ, factor)
+    return ghost(WittVector(series)).coords
+
+
+@st.composite
+def count_tables(draw, prec):
+    """An honest table (the ghost of a random Euler product), perturbed in one
+    entry two times in three; entries stay nonnegative, as PointCounts requires."""
+    counts = list(euler_product_counts(draw(st.lists(st.integers(0, 5), min_size=prec, max_size=prec))))
+    if draw(st.integers(0, 2)):
+        k = draw(st.integers(0, prec - 1))
+        counts[k] = max(0, counts[k] + draw(st.integers(-4, 4)))
+    return PointCounts(2, tuple(counts))
+
+
+def outcome(fn):
+    """What fn() returns, or the degree and message of the InconsistentCountsError it raises."""
+    try:
+        return fn()
+    except InconsistentCountsError as exc:
+        return ("InconsistentCountsError", exc.degree, str(exc))
+
+
+COUNT_TABLES = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+@COUNT_TABLES
+@given(data=st.data())
+def test_divisor_pass_matches_the_mobius_scan(data):
+    prec = data.draw(st.integers(1, 16))
+    counts = data.draw(count_tables(prec))
+    dmax = data.draw(st.integers(0, prec))
+    assert outcome(lambda: closed_point_degree_counts(counts, dmax)) == outcome(
+        lambda: closed_points_by_mobius(counts, dmax)
+    )
+
+
+@COUNT_TABLES
+@given(data=st.data())
+def test_every_route_judges_a_table_by_the_closed_point_pass(data):
+    n, rmax = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    counts = data.draw(count_tables(n * rmax))
+    verdict = outcome(lambda: closed_point_degree_counts(counts, n * rmax))
+    routes = {
+        "zeta_from_counts": lambda: zeta_from_counts(counts, n * rmax),
+        "euler_product_zeta": lambda: euler_product_zeta(counts, n * rmax),
+        "sym_power_counts": lambda: sym_power_counts(counts, n, rmax),
+    }
+    results = {name: outcome(route) for name, route in routes.items()}
+    if verdict[0] == "InconsistentCountsError":
+        assert all(result == verdict for result in results.values()), results
+    else:
+        assert results["zeta_from_counts"] == results["euler_product_zeta"]
+        assert all(c >= 0 for c in results["sym_power_counts"].counts)
+
+
+def test_closed_point_degree_counts_at_n_2000_match_the_mobius_scan():
+    counts = point_counts(AffineSpace(1, 2), 2000)
+    assert closed_point_degree_counts(counts, 2000) == closed_points_by_mobius(counts, 2000)
+
+
 def test_euler_product_matches_direct_expansion():
     counts = point_counts(AffineSpace(1, 2), 3)
     z = euler_product_zeta(counts, 3)
@@ -101,15 +187,7 @@ def test_euler_product_point():
 def test_two_routes_agree_on_random_honest_counts():
     rng = random.Random(2718)
     for _ in range(20):
-        degree_counts = [rng.randint(0, 4) for _ in range(6)]
-        series = TruncatedSeries.one(ZZ, 6)
-        for d, a_d in enumerate(degree_counts, start=1):
-            # (1 - t^d)^(-a_d) = sum_k C(a_d + k - 1, k) t^(dk)
-            factor = [0] * 7
-            for k in range(6 // d + 1):
-                factor[d * k] = math.comb(a_d + k - 1, k) if k else 1
-            series = series * TruncatedSeries(ZZ, factor)
-        counts = PointCounts(2, tuple(ghost(WittVector(series)).coords))
+        counts = PointCounts(2, euler_product_counts([rng.randint(0, 4) for _ in range(6)]))
         assert zeta_from_counts(counts, 6) == euler_product_zeta(counts, 6)
 
 
@@ -144,6 +222,16 @@ def test_sym_power_counts_range_requirement():
 def test_sym_power_counts_rejects_inconsistent_tables():
     with pytest.raises(InconsistentCountsError):
         sym_power_counts(PointCounts(2, (1, 2)), 2, 1)
+
+
+def test_sym_power_counts_reports_the_first_inconsistent_degree_of_the_table():
+    # (N_2, N_4) = (5, 18) is the first subsample whose Newton step fails, at its own
+    # degree 2; the table is first inconsistent in degree 4, and that is reported
+    counts = PointCounts(2, (3, 5, 9, 18))
+    for route in (lambda: sym_power_counts(counts, 2, 2), lambda: zeta_from_counts(counts, 4)):
+        with pytest.raises(InconsistentCountsError, match="closed-point count in degree 4") as info:
+            route()
+        assert info.value.degree == 4
 
 
 def test_count_tables_with_negative_closed_point_counts_are_rejected():
