@@ -86,6 +86,7 @@ from .zeta import (
     euler_product_zeta,
     mobius,
     rational_reconstruct,
+    spec_zeta,
     sym_power_counts,
     sym_zeta,
     zeta_from_counts,

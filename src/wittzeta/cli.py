@@ -24,6 +24,7 @@ int/str limit (which still holds for specs): more exits 2 in, 4 out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,10 +43,9 @@ from .varieties import (
     ProductSpec,
     ProjectiveSpace,
     VarietySpec,
-    point_counts,
 )
 from .witt import WittVector, frobenius, ghost, ghost_inverse, GhostVector, teichmuller, witt_add, witt_mul, witt_neg
-from .zeta import RationalFunction, rational_reconstruct, sym_zeta, zeta_from_counts, zeta_generating_series
+from .zeta import RationalFunction, rational_reconstruct, spec_zeta, sym_zeta, zeta_generating_series
 
 
 def _read_argument(text: str) -> str:
@@ -279,9 +279,7 @@ def _decode_spec_arg(args: argparse.Namespace) -> VarietySpec:
 
 
 def cmd_zeta(args: argparse.Namespace) -> int:
-    spec = _decode_spec_arg(args)
-    counts = point_counts(spec, args.precision, _budget())
-    _emit(encode_witt(zeta_from_counts(counts, args.precision)))
+    _emit(encode_witt(spec_zeta(_decode_spec_arg(args), args.precision, _budget())))
     return 0
 
 
@@ -303,8 +301,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.spec is not None:
         if args.precision is None:
             raise SpecError("reconstruct --spec needs -N for the zeta precision")
-        counts = point_counts(_decode_spec_arg(args), args.precision, _budget())
-        vector = zeta_from_counts(counts, args.precision)
+        vector = spec_zeta(_decode_spec_arg(args), args.precision, _budget())
     else:
         vector = decode_witt(_parse_json(args.witt, "Witt vector document", wire=True))
     _emit(encode_rational(rational_reconstruct(vector, args.dmax)))
@@ -374,9 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first main call, reused after
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except SpecError as exc:

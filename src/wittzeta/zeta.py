@@ -3,13 +3,15 @@
 The zeta function Z(X, t) = exp(sum_r N_r t^r / r) has integer
 coefficients and constant term 1, so its truncation to degree N is an
 element of W_N(ZZ) whose ghost coordinates are exactly the point counts
-N_1..N_N.  That makes assembly a single ghost inversion
-(``zeta_from_counts``) and gives a second, independent construction
+N_1..N_N.  That makes assembly from counts a single ghost inversion
+(``zeta_from_counts``, O(N^2)) and gives a second, independent construction
 through the Euler product over closed points (``euler_product_zeta``);
-the two must agree on any honest count table.  Every route first runs the
-one test of honesty, ``closed_point_degree_counts``: the closed-point
-counts a_d must be nonnegative integers.  Their integrality is the
-ghost-image criterion, so a table that passes inverts integrally.
+the two must agree on any honest count table.  Every route from counts
+first runs the one test of honesty, ``closed_point_degree_counts``: the
+closed-point counts a_d must be nonnegative integers.  Their integrality
+is the ghost-image criterion, so a table that passes inverts integrally.
+``spec_zeta`` needs no table for affine and projective spaces and elliptic
+curves: it expands num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t) in O(N) steps.
 
 Symmetric powers ride on the same recursion: the r-th count of Sym^n X is
 the degree-n series coefficient obtained by ghost-inverting the subsampled
@@ -29,7 +31,7 @@ from .errors import InconsistentCountsError, PrecisionError, ReconstructionError
 from .finitefield import DEFAULT_ENUM_BUDGET
 from .rings import IntPolynomial, TruncatedSeries, ZZ
 from .sigma import sigma_witt
-from .varieties import PointCounts, VarietySpec, point_counts
+from .varieties import AffineSpace, EllipticCurve, PointCounts, ProjectiveSpace, VarietySpec, point_counts
 from .witt import GhostVector, WittVector, ghost_inverse, witt_one
 
 
@@ -44,6 +46,33 @@ def zeta_from_counts(counts: PointCounts, prec: int) -> WittVector:
         )
     closed_point_degree_counts(counts, prec)
     return ghost_inverse(GhostVector(ZZ, counts.counts[:prec]))
+
+
+def spec_zeta(spec: VarietySpec, prec: int, budget: int = DEFAULT_ENUM_BUDGET) -> WittVector:
+    """Z(X, t) to precision N; closed form for A^d, P^d and E, else ``zeta_from_counts``.
+
+    Z = num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t); the product's t^k coefficient is
+    q^(lo*k) g_k, g_k = [hi-lo+k choose k]_q = g_(k-1) (q^(hi-lo+k) - 1) / (q^k - 1).
+    E's num = 1 - a*t + p*t^2 takes a = p + 1 - N_1 from ``point_counts``,
+    which charges the budget and checks the Hasse bound."""
+    if prec < 1:
+        raise ValueError("precision must be at least 1")
+    if isinstance(spec, AffineSpace):
+        lo, hi, num = spec.dim, spec.dim, (1,)
+    elif isinstance(spec, ProjectiveSpace):
+        lo, hi, num = 0, spec.dim, (1,)
+    elif isinstance(spec, EllipticCurve):
+        lo, hi, num = 0, 1, (1, point_counts(spec, 1, budget).counts[0] - spec.p - 1, spec.p)
+    else:
+        return zeta_from_counts(point_counts(spec, prec, budget), prec)
+    q, step, top = spec.q, spec.q**lo, spec.q ** (hi - lo)
+    qk, ql, g, h = 1, 1, 1, [1]
+    for _ in range(prec):
+        qk, ql = qk * q, ql * step
+        g = g * (top * qk - 1) // (qk - 1)
+        h.append(ql * g)
+    return WittVector(TruncatedSeries(ZZ, [sum(c * h[k - j] for j, c in enumerate(num[: k + 1]))
+                                           for k in range(prec + 1)]))
 
 
 def mobius(n: int) -> int:
@@ -150,26 +179,27 @@ def zeta_generating_series(
     """sigma_u(Z(X, t)) in W_M(W_N(ZZ)): all symmetric powers at once.
 
     The u^n coefficient of the result equals Z(Sym^n X, t) to precision N
-    for every n <= M.  Consumes counts of X out to range M*N.
+    for every n <= M.  Z(X, t) to precision M*N comes from ``spec_zeta``.
     """
     if outer_prec < 1 or inner_prec < 1:
         raise ValueError("precisions must be at least 1")
-    total = outer_prec * inner_prec
-    counts = point_counts(spec, total, budget)
-    return sigma_witt(zeta_from_counts(counts, total), outer_prec)
+    return sigma_witt(spec_zeta(spec, outer_prec * inner_prec, budget), outer_prec)
 
 
 def _divisors(n: int) -> list[int]:
+    """Divisors of |n| (none of 0), ascending; dividing out 2 and odd d stops at sqrt of the cofactor."""
     n = abs(n)
-    small, large = [], []
-    d = 1
+    divisors, d = [1] if n else [], 2
     while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+        power = divisors
+        while n % d == 0:
+            n //= d
+            power = [x * d for x in power]
+            divisors = divisors + power
+        d += 1 if d == 2 else 2
+    if n > 1:
+        divisors += [x * n for x in divisors]
+    return sorted(divisors)
 
 
 def _divide_out_linear(

@@ -1,16 +1,23 @@
 """Tests for the command line surface: documents, exit codes, determinism."""
 
 import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wittzeta.cli import _int_from_wire, _int_to_wire, decode_witt, encode_witt, main
+from wittzeta.cli import _int_from_wire, _int_to_wire, decode_spec, decode_witt, encode_rational, encode_witt, main
+from wittzeta.errors import ReconstructionError
+from wittzeta.finitefield import is_prime
 from wittzeta.rings import ZZ
+from wittzeta.sigma import sigma_witt
+from wittzeta.varieties import point_counts
 from wittzeta.witt import WittVector, teichmuller, witt_add
+from wittzeta.zeta import rational_reconstruct, zeta_from_counts
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +136,82 @@ def test_reconstruct_from_witt_document(capsys):
     witt_doc = json.dumps(encode_witt(teichmuller(3, 6)))
     doc = run_json(capsys, "reconstruct", "--witt", witt_doc, "--dmax", "1")
     assert doc == {"num": ["1"], "den": ["1", "-3"], "display": "1/(1-3t)"}
+
+
+# --- closed-form specs print what the counts route prints ---
+
+
+def stdout_of(*argv):
+    """(exit code, stdout) of one in-process CLI run; stderr is left alone."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def document(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def closed_form_spec_docs(draw):
+    """JSON specs of A^d, P^d (q a prime or prime power) and nonsingular E over F_p, p < 200."""
+    kind = draw(st.sampled_from(["affine", "projective", "elliptic"]))
+    if kind != "elliptic":
+        return {"type": kind, "dim": draw(st.integers(0, 4)), "q": draw(st.sampled_from([2, 3, 4, 5, 9, 27, 97]))}
+    p = draw(st.sampled_from([p for p in range(5, 200) if is_prime(p)]))
+    a = draw(st.integers(0, p - 1))
+    b = next(b for b in range(draw(st.integers(0, p - 1)), 2 * p) if (4 * a**3 + 27 * b**2) % p)
+    return {"type": "elliptic", "p": p, "a": a, "b": b % p}
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(doc=closed_form_spec_docs(), n=st.integers(1, 40), outer=st.integers(1, 5), dmax=st.integers(0, 20))
+def test_closed_form_specs_print_the_counts_route_documents(doc, n, outer, dmax):
+    spec_text, spec = json.dumps(doc), decode_spec(doc)
+    z = zeta_from_counts(point_counts(spec, n), n)
+    assert stdout_of("zeta", "--spec", spec_text, "-N", str(n)) == (0, document(encode_witt(z)))
+    inner = max(1, n // outer)
+    z_series = zeta_from_counts(point_counts(spec, outer * inner), outer * inner)
+    expected = (0, document(encode_witt(sigma_witt(z_series, outer))))
+    assert stdout_of("series", "--spec", spec_text, "-M", str(outer), "-N", str(inner)) == expected
+    dmax = min(dmax, n // 2)
+    try:
+        expected = (0, document(encode_rational(rational_reconstruct(z, dmax))))
+    except ReconstructionError:
+        expected = (5, "")
+    assert stdout_of("reconstruct", "--spec", spec_text, "-N", str(n), "--dmax", str(dmax)) == expected
+
+
+CLOSED_FORM_SPECS = ['{"type":"affine","dim":1,"q":2}', '{"type":"projective","dim":2,"q":9}',
+                     '{"type":"elliptic","p":5,"a":1,"b":0}']
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+@pytest.mark.parametrize("argv", [["zeta", "-N", "0"], ["series", "-M", "2", "-N", "0"],
+                                  ["reconstruct", "-N", "0", "--dmax", "0"]])
+def test_closed_form_specs_at_precision_0_exit_2(capsys, spec, argv):
+    code, out, err = run_cli(capsys, *argv, "--spec", spec)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == "malformed-input"
+
+
+@pytest.mark.parametrize("argv", [["zeta", "-N", "3"], ["series", "-M", "2", "-N", "2"],
+                                  ["reconstruct", "-N", "4", "--dmax", "2"]])
+def test_elliptic_prime_past_the_budget_exits_4_with_twice_p(capsys, argv):
+    p = 8388617  # the least prime above 2^23, so 2p exceeds the default budget 2^24
+    code, out, err = run_cli(capsys, *argv, "--spec", f'{{"type":"elliptic","p":{p},"a":1,"b":1}}')
+    assert (code, out) == (4, "")
+    error = json.loads(err)["error"]
+    assert (error["code"], error["required"]) == ("budget-exceeded", 2 * p)
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+def test_reconstruct_spec_below_twice_dmax_exits_5(capsys, spec):
+    code, out, err = run_cli(capsys, "reconstruct", "--spec", spec, "-N", "5", "--dmax", "3")
+    assert (code, out) == (5, "")
+    error = json.loads(err)["error"]
+    assert (error["code"], error["required"]) == ("precision-shortfall", 6)
 
 
 def test_reconstruct_requires_one_source(capsys):
@@ -392,6 +475,19 @@ def test_decode_witt_validates_shape():
         decode_witt({"precision": 1, "coeffs": ["1"], "extra": 0})
     with pytest.raises(SpecError):
         decode_witt({"precision": 1, "coeffs": [True]})
+
+
+def test_successive_main_calls_print_what_fresh_processes_print():
+    runs = [["witt", "mul", "--teich", "2", "--teich", "3", "-N", "4"],
+            ["witt", "add", "--teich", "5", "--teich", "7", "--teich", "11", "-N", "3"],
+            ["zeta", "--spec", '{"type":"projective","dim":1,"q":2}', "-N", "3"],
+            ["witt", "mul", "--teich", "2", "--teich", "3", "-N", "4"],
+            ["witt", "teich", "--teich", "5", "-N", "2"]]
+    in_process = [stdout_of(*argv) for argv in runs]
+    fresh = [subprocess.run([sys.executable, "-m", "wittzeta.cli", *argv], capture_output=True, text=True)
+             for argv in runs]
+    assert in_process == [(run.returncode, run.stdout) for run in fresh]
+    assert in_process[0] == in_process[3]
 
 
 def test_cli_output_is_byte_identical_across_runs():

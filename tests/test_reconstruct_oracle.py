@@ -12,6 +12,10 @@ bound, some with a common linear factor, a constant term other than 1, one
 perturbed coefficient, or no nonzero coefficient at all.  Both routes must
 return the same num, den and display, or raise the same exception type
 with the same message and ``required``.
+
+``RationalFunction`` normalisation tries (1 - c*t) for every divisor c of
+the leading coefficient; ``_divisors`` lists them from a factorisation.  The
+trial-division scan up to sqrt(n) it replaced is kept as its oracle.
 """
 
 from fractions import Fraction
@@ -23,7 +27,7 @@ from wittzeta.errors import PrecisionError, ReconstructionError
 from wittzeta.rings import IntPolynomial, TruncatedSeries, ZZ
 from wittzeta.varieties import EllipticCurve
 from wittzeta.witt import WittVector
-from wittzeta.zeta import RationalFunction, rational_reconstruct, sym_zeta
+from wittzeta.zeta import RationalFunction, _divisors, rational_reconstruct, sym_zeta
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -184,3 +188,30 @@ def test_sym6_elliptic_curve_over_f5_below_its_degree():
     z = sym_zeta(EllipticCurve(5, 1, 1), 6, 60)
     kind, _, required = assert_routes_agree(z, 11)
     assert (kind, required) == ("ReconstructionError", 24)
+
+
+def divisors_by_scan(n: int) -> list[int]:
+    """Every divisor of |n|, found by testing each d up to sqrt(|n|)."""
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(n=st.one_of(st.integers(-10**7, 10**7),
+                   st.builds(pow, st.sampled_from([2, 3, 5, 7, 11, 101, 9973]), st.integers(0, 9))
+                   .filter(lambda n: n <= 10**12)))
+def test_divisors_from_a_factorisation_match_the_scan(n):
+    assert _divisors(n) == divisors_by_scan(n)
+
+
+def test_divisors_of_a_prime_power_lead_stop_at_its_prime():
+    assert _divisors(7**9) == [7**k for k in range(10)]
+    assert _divisors(0) == divisors_by_scan(0) == []

@@ -6,12 +6,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittzeta.errors import InconsistentCountsError, PrecisionError, ReconstructionError
+from wittzeta.errors import BudgetError, InconsistentCountsError, PrecisionError, ReconstructionError
+from wittzeta.finitefield import is_prime
 from wittzeta.rings import IntPolynomial, TruncatedSeries, ZPOLY, ZZ
+from wittzeta.sigma import sigma_witt
 from wittzeta.varieties import (
     AffineSpace,
+    CountsSpec,
     EllipticCurve,
     PointCounts,
+    ProductSpec,
     ProjectiveSpace,
     point_counts,
 )
@@ -22,6 +26,7 @@ from wittzeta.zeta import (
     euler_product_zeta,
     mobius,
     rational_reconstruct,
+    spec_zeta,
     sym_power_counts,
     sym_zeta,
     zeta_from_counts,
@@ -194,6 +199,74 @@ def test_two_routes_agree_on_random_honest_counts():
 def test_two_routes_agree_on_an_elliptic_curve_over_f_10007():
     counts = point_counts(EllipticCurve(10007, 1, 1), 40)
     assert euler_product_zeta(counts, 40) == zeta_from_counts(counts, 40)
+
+
+# --- the closed form of affine, projective and elliptic specs ---
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 101)
+ELLIPTIC_PRIMES = tuple(p for p in range(5, 500) if is_prime(p))
+
+
+@st.composite
+def closed_form_specs(draw):
+    """A^d or P^d (d <= 6, q a prime or prime power) or a nonsingular E over F_p, p < 500."""
+    kind = draw(st.sampled_from(["affine", "projective", "elliptic"]))
+    if kind != "elliptic":
+        space = AffineSpace if kind == "affine" else ProjectiveSpace
+        return space(draw(st.integers(0, 6)), draw(st.sampled_from(PRIME_POWERS)))
+    p = draw(st.sampled_from(ELLIPTIC_PRIMES))
+    a = draw(st.integers(0, p - 1))
+    b = next(b for b in range(draw(st.integers(0, p - 1)), 2 * p) if (4 * a**3 + 27 * b**2) % p)
+    return EllipticCurve(p, a, b % p)
+
+
+CLOSED_FORMS = settings(max_examples=120, derandomize=True, database=None, deadline=None)
+
+
+@CLOSED_FORMS
+@given(spec=closed_form_specs(), prec=st.integers(1, 60))
+def test_spec_zeta_matches_the_counts_and_euler_routes(spec, prec):
+    counts = point_counts(spec, prec)
+    z = spec_zeta(spec, prec)
+    assert z.prec == prec
+    assert z.coeffs == zeta_from_counts(counts, prec).coeffs
+    assert z == euler_product_zeta(counts, prec)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(spec=closed_form_specs(), outer=st.integers(1, 6), inner=st.integers(1, 6))
+def test_generating_series_is_sigma_of_the_counts_route(spec, outer, inner):
+    counts = point_counts(spec, outer * inner)
+    expected = sigma_witt(zeta_from_counts(counts, outer * inner), outer)
+    assert zeta_generating_series(spec, outer, inner) == expected
+
+
+def test_spec_zeta_closed_forms_by_hand():
+    assert spec_zeta(AffineSpace(1, 2), 4) == teichmuller(2, 4)
+    assert spec_zeta(ProjectiveSpace(1, 2), 3).coeffs == (3, 7, 15)
+    assert spec_zeta(E, 3).coeffs == (4, 24, 124)
+    assert spec_zeta(AffineSpace(0, 7), 3) == teichmuller(1, 3)
+
+
+def test_spec_zeta_of_other_specs_assembles_their_counts():
+    line = ProjectiveSpace(1, 3)
+    for spec in (ProductSpec((line, AffineSpace(2, 3))), CountsSpec(3, point_counts(line, 5).counts)):
+        assert spec_zeta(spec, 5) == zeta_from_counts(point_counts(spec, 5), 5)
+    with pytest.raises(PrecisionError):
+        spec_zeta(CountsSpec(2, (3, 5)), 3)
+    with pytest.raises(InconsistentCountsError):
+        spec_zeta(CountsSpec(4, (5, 1)), 2)
+
+
+def test_spec_zeta_keeps_the_precision_and_budget_errors():
+    for spec in (AffineSpace(1, 2), ProjectiveSpace(2, 3), E):
+        with pytest.raises(ValueError):
+            spec_zeta(spec, 0)
+    with pytest.raises(BudgetError) as info:
+        spec_zeta(EllipticCurve(1009, 1, 1), 5, budget=2017)
+    assert info.value.required == 2018
+    assert spec_zeta(EllipticCurve(1009, 1, 1), 5, budget=2018) == zeta_from_counts(
+        point_counts(EllipticCurve(1009, 1, 1), 5), 5)
 
 
 # --- symmetric-power counts ---
