@@ -60,30 +60,38 @@ def is_prime(n: int) -> bool:
 
 
 def _integer_root(n: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer."""
+    """Floor of the k-th root of a nonnegative integer: Newton's method from a 40-bit float seed."""
     if n < 0 or k < 1:
         raise ValueError("nonnegative radicand and positive index required")
     if k == 1 or n < 2:
         return n
-    hi = 1 << (n.bit_length() // k + 1)
-    lo = 0
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    shift = max(n.bit_length() // k - 40, 0)
+    x = int(2 ** (math.log2(n >> k * shift) / k)) + 1 << shift
+    x = ((k - 1) * x + n // x ** (k - 1)) // k  # at least the root, by AM-GM, whatever the seed
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Write q as p**k with p prime, or raise SpecError."""
+    """Write q as p**k with p prime, or raise SpecError.
+
+    q = r**e with r no perfect power, by exact roots at prime exponents; the exact
+    roots of q are the r**j with j | e, so is_prime on them in rising order gives
+    the verdict of trying every exponent from bit_length(q) down to 1."""
     if q < 2:
         raise SpecError(f"{q} is not a prime power")
-    for k in range(q.bit_length(), 0, -1):
-        p = _integer_root(q, k)
-        if p**k == q and is_prime(p):
-            return p, k
+    r, e, k = q, 1, 2
+    while k <= r.bit_length():
+        t = next(t for t in itertools.count(k + 1, k) if is_prime(t))  # r**((t-1)/k) is 0 or 1 mod t
+        root = _integer_root(r, k) if pow(r % t, (t - 1) // k, t) < 2 else 0
+        if root**k == r:
+            r, e = root, e * k  # a root of r is no l-th power for a prime l < k either
+        else:
+            k = next(n for n in itertools.count(k + 1) if is_prime(n))
+    for j in range(1, e + 1):
+        if e % j == 0 and is_prime(r**j):
+            return r**j, e // j
     raise SpecError(f"{q} is not a prime power")
 
 

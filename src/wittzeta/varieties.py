@@ -1,10 +1,13 @@
 """Variety descriptions over finite fields and exact point counting.
 
 Every spec answers "how many points over F_{q^r}" exactly: affine and
-projective spaces by closed formula, elliptic curves by one brute-force
-count over the prime field followed by the trace recursion, products
-pointwise, explicit equation systems by root counting in one variable
-(budget-guarded), and user-supplied count tables verbatim.
+projective spaces by closed formula, elliptic curves by their trace over
+the prime field followed by the trace recursion, products pointwise,
+explicit equation systems by root counting in one variable
+(budget-guarded), and user-supplied count tables verbatim.  Above p = 229
+the trace comes from a baby-step giant-step search that stops only when one
+value of #E is left in the Hasse interval, so it is exact; Mestre's theorem
+makes it stop.
 
 The module also hosts the enumeration oracle for symmetric powers: group
 the points over F_{q^{rd}} (tuples of int field codes) into Frobenius
@@ -32,6 +35,7 @@ from .finitefield import (
     parse_polynomial,
     prime_power_decompose,
 )
+from .rings import binary_power
 
 Point = tuple[int, ...]
 
@@ -184,15 +188,99 @@ class PointCounts:
         return self.counts[r - 1]
 
 
+def _sqrt_mod(n: int, p: int, z: int) -> int:
+    """A square root of the nonzero square n mod the odd prime p (Tonelli-Shanks; z a non-residue)."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s with q odd
+    q = (p - 1) >> s
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _ec_add(u: Point | None, v: Point | None, a: int, p: int) -> Point | None:
+    """u + v on y^2 = x^3 + a*x + b over F_p, in affine coordinates; None is the point at infinity."""
+    if u is None or v is None:
+        return v if u is None else u
+    (x1, y1), (x2, y2) = u, v
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _annihilators(pt: Point, a: int, p: int, lo: int, hi: int, m: int) -> set[int] | None:
+    """Every M in [lo, hi] with [M]pt = O, by m baby steps, or None if pt has order at most 2m + 1."""
+    add = lambda u, v: _ec_add(u, v, a, p)  # noqa: E731
+    baby, jp = {}, pt  # x([j]pt) -> j for j = 1..m
+    for j in range(1, m + 1):
+        baby[jp[0]] = j
+        jp = add(jp, pt)
+        if jp is None or jp[0] in baby:  # [j+1]pt is O or [+-i]pt with i <= j
+            return None
+    # The order exceeds 2m + 1, so the windows [c - m, c + m] tile the Hasse interval
+    # and each holds at most one M: [c]pt = O gives M = c; [c]pt = +-[j]pt gives M = c - j
+    # or c + j, and one scalar multiplication tells which.
+    found, stride = set(), binary_power(pt, 2 * m + 1, add, None)
+    giant = binary_power(pt, lo + m, add, None)
+    for c in range(lo + m, hi + m + 1, 2 * m + 1):
+        if giant is None:
+            found.add(c)
+        elif giant[0] in baby:
+            j = baby[giant[0]]
+            found.add(c - j if binary_power(pt, c - j, add, None) is None else c + j)
+        giant = add(giant, stride)
+    return {n for n in found if lo <= n <= hi}
+
+
 def elliptic_trace(spec: EllipticCurve, budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """The Frobenius trace a = p + 1 - N_1, from one brute-force count."""
+    """The Frobenius trace a = p + 1 - N_1, exactly.
+
+    For p <= 229, one Legendre-symbol count over F_p, charged 2p.  Above it,
+    Shanks-Mestre baby-step giant-step (Cohen, GTM 138, section 7.4; Schoof
+    1995, section 3), charged the group operations of one point's search.
+    x = 0, 1, ... gives a point P, y != 0, on E when f(x) = x^3 + a*x + b is a
+    square and otherwise on the twist E' by the least non-residue d, and
+    #E + #E' = 2p + 2.  Each P of order above 2m + 1 yields every M in the
+    Hasse interval with [M]P = O (2p + 2 - M on E'), and one candidate set
+    keeps their intersection, which always holds #E.  The trace is returned
+    only when one candidate is left, so it cannot be wrong.  The search ends
+    by Mestre's theorem: for p > 229, E or E' has a point whose order has a
+    single multiple in the interval.
+    """
     p = spec.p
-    _charge_budget(2 * p, budget)
-    a, b, cnt = spec.a, spec.b, bytearray(p)  # cnt[r] = #{y : y^2 = r} = 1 + (r | p)
-    for y in range(1, (p + 1) // 2):
-        cnt[y * y % p] = 2
-    cnt[0] = 1
-    return p - sum(cnt[(x * (x * x + a) + b) % p] for x in range(p))
+    a, b = spec.a % p, spec.b % p
+    if p <= 229:
+        _charge_budget(2 * p, budget)
+        cnt = bytearray(p)  # cnt[r] = #{y : y^2 = r} = 1 + (r | p)
+        for y in range(1, (p + 1) // 2):
+            cnt[y * y % p] = 2
+        cnt[0] = 1
+        return p - sum(cnt[(x * (x * x + a) + b) % p] for x in range(p))
+    w = math.isqrt(4 * p)  # #E lies in [lo, hi] = p + 1 -+ floor(2 sqrt p), and 4p is no square
+    lo, hi, m = p + 1 - w, p + 1 + w, math.isqrt(w)
+    # m baby steps, one giant step per window of 2m + 1, three scalar multiplications
+    _charge_budget(m + len(range(lo + m, hi + m + 1, 2 * m + 1)) + 6 * hi.bit_length(), budget)
+    d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
+    candidates: set[int] | None = None
+    for x in range(p):
+        f = (x * (x * x + a) + b) % p
+        if f == 0:
+            continue
+        c = 1 if pow(f, (p - 1) // 2, p) == 1 else d  # (cx, c sqrt(cf)) lies on y^2 = x^3 + ac^2 x + bc^3
+        found = _annihilators((c * x % p, c * _sqrt_mod(c * f % p, p, d) % p), a * c * c % p, p, lo, hi, m)
+        if found is not None:
+            found = found if c == 1 else {2 * p + 2 - n for n in found}  # on E', #E = 2p + 2 - #E'
+            candidates = found if candidates is None else candidates & found
+            if len(candidates) == 1:
+                return p + 1 - candidates.pop()
+    raise AssertionError("Mestre's theorem bounds the search for p > 229")
 
 
 def _elliptic_counts(spec: EllipticCurve, rmax: int, budget: int) -> tuple[int, ...]:

@@ -196,14 +196,33 @@ def test_closed_form_specs_at_precision_0_exit_2(capsys, spec, argv):
     assert json.loads(err)["error"]["code"] == "malformed-input"
 
 
-@pytest.mark.parametrize("argv", [["zeta", "-N", "3"], ["series", "-M", "2", "-N", "2"],
-                                  ["reconstruct", "-N", "4", "--dmax", "2"]])
-def test_elliptic_prime_past_the_budget_exits_4_with_twice_p(capsys, argv):
-    p = 8388617  # the least prime above 2^23, so 2p exceeds the default budget 2^24
-    code, out, err = run_cli(capsys, *argv, "--spec", f'{{"type":"elliptic","p":{p},"a":1,"b":1}}')
+# The least prime above 2^23: its O(p) count (2p) exceeded the default budget 2^24.
+P_PAST_2_23 = 8388617
+# The trace of y^2 = x^3 + x + 1 over F_8388617, computed once by the square-table
+# oracle of tests/test_varieties.py (16 s).
+TRACE_PAST_2_23 = 622
+ELLIPTIC_PAST_2_23 = f'{{"type":"elliptic","p":{P_PAST_2_23},"a":1,"b":1}}'
+TRACE_READERS = [
+    (["zeta", "-N", "3"], lambda doc: P_PAST_2_23 + 1 - int(doc["coeffs"][0])),
+    (["series", "-M", "2", "-N", "2"], lambda doc: P_PAST_2_23 + 1 - int(doc["coeffs"][0]["coeffs"][0])),
+    (["reconstruct", "-N", "4", "--dmax", "2"], lambda doc: -int(doc["num"][1])),
+]
+
+
+@pytest.mark.parametrize("argv, trace_of", TRACE_READERS, ids=["zeta", "series", "reconstruct"])
+def test_elliptic_prime_past_2_to_23_answers_by_bsgs(capsys, argv, trace_of):
+    assert trace_of(run_json(capsys, *argv, "--spec", ELLIPTIC_PAST_2_23)) == TRACE_PAST_2_23
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in TRACE_READERS], ids=["zeta", "series", "reconstruct"])
+def test_elliptic_bsgs_past_the_budget_exits_4_with_its_step_count(capsys, monkeypatch, argv):
+    # w = isqrt(4p) = 5792 and m = isqrt(w) = 76: 76 baby steps, ceil((2w + 1)/(2m + 1)) = 76
+    # giant steps, and 6 * bitlen(p + 1 + w) = 6 * 24 = 144 scalar-multiplication steps
+    monkeypatch.setenv("WITTZETA_ENUM_BUDGET", "295")
+    code, out, err = run_cli(capsys, *argv, "--spec", ELLIPTIC_PAST_2_23)
     assert (code, out) == (4, "")
     error = json.loads(err)["error"]
-    assert (error["code"], error["required"]) == ("budget-exceeded", 2 * p)
+    assert (error["code"], error["required"], error["budget"]) == ("budget-exceeded", 296, 295)
 
 
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +102,88 @@ def test_prime_power_decompose(q, expected):
 def test_prime_power_decompose_rejects_non_prime_powers(q):
     with pytest.raises(SpecError):
         prime_power_decompose(q)
+
+
+# --- the exponent scan, kept as an oracle for prime_power_decompose ---
+
+PSI_13 = 3317044064679887385961981
+
+
+def integer_root_by_bisection(n: int, k: int) -> int:
+    """Oracle: the floor of the k-th root by binary search."""
+    if k == 1 or n < 2:
+        return n
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def prime_power_decompose_by_scan(q: int) -> tuple[int, int]:
+    """Oracle: try every exponent k from the bit length of q down to 1."""
+    if q < 2:
+        raise SpecError(f"{q} is not a prime power")
+    for k in range(q.bit_length(), 0, -1):
+        p = integer_root_by_bisection(q, k)
+        if p**k == q and is_prime(p):
+            return p, k
+    raise SpecError(f"{q} is not a prime power")
+
+
+def verdict(decompose, q):
+    try:
+        return decompose(q)
+    except (SpecError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# primes with and without a factor up to 41, the largest prime below psi_13, and 2^89 - 1 above it
+BASES = [2, 3, 41, 43, 47, 65537, 1000003, 1000033, 2**31 - 1, 2**61 - 1,
+         next(n for n in range(PSI_13 - 2, 0, -2) if is_prime(n)), 2**89 - 1]
+
+
+@st.composite
+def decomposable(draw):
+    kind = draw(st.sampled_from(["prime power", "composite power", "near psi_13"]))
+    if kind == "near psi_13":
+        return (PSI_13 + draw(st.integers(-300, 300))) ** draw(st.integers(1, 3))
+    base = draw(st.sampled_from(BASES))
+    if kind == "composite power":
+        base *= draw(st.sampled_from(BASES))
+    return base ** draw(st.integers(1, max(1, 400 // base.bit_length())))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(decomposable())
+def test_prime_power_decompose_matches_the_exponent_scan(q):
+    assert verdict(prime_power_decompose, q) == verdict(prime_power_decompose_by_scan, q)
+
+
+@pytest.mark.parametrize("q", [
+    (10**9 + 7) ** 8,  # its square root is past psi_13, its eighth root a prime
+    (1000003 * 1000033) ** 6,  # the scan fails first on the cube of the base, not on q
+    (2**89 - 1) ** 2, PSI_13, PSI_13**2, 6**50, 43**2 * 47,
+])
+def test_prime_power_decompose_matches_the_exponent_scan_at_the_edges(q):
+    assert verdict(prime_power_decompose, q) == verdict(prime_power_decompose_by_scan, q)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**2000), st.integers(1, 300))
+def test_integer_root_matches_bisection(n, k):
+    assert finitefield._integer_root(n, k) == integer_root_by_bisection(n, k)
+
+
+def test_prime_power_decompose_of_4000_digits_is_quick():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="psi_13"):  # 10^4000 + 7 has no factor up to 41
+        prime_power_decompose(10**4000 + 7)
+    assert prime_power_decompose(3**8000) == (3, 8000)
+    assert time.perf_counter() - start < 2  # the exponent scan took 6.8 s for the first
 
 
 # --- irreducible polynomial search ---

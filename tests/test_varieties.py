@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import wittzeta.varieties as varieties
 from wittzeta.errors import BudgetError, InconsistentCountsError, PrecisionError, SpecError
@@ -140,6 +141,54 @@ def test_elliptic_trace_matches_the_square_table_oracle():
         assert elliptic_trace(spec) == elliptic_trace_by_square_table(spec), spec
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(230, 19997), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_bsgs_trace_matches_the_square_table_oracle(start, a, b):
+    p = next(n for n in range(start, 2 * start) if is_prime(n))  # 19997 is prime, so p < 2 * 10^4
+    assume((4 * a**3 + 27 * b**2) % p)
+    spec = EllipticCurve(p, a, b)
+    assert elliptic_trace(spec) == elliptic_trace_by_square_table(spec), spec
+
+
+def test_bsgs_trace_at_every_prime_from_230_to_400(monkeypatch):
+    """Full 2-torsion (b = 0), j = 0 curves with a point of order 3 at x = 0, and
+    generic ones; the searches are watched to see each route of the proof taken."""
+    searches = []
+
+    def watched(pt, a, p, *window):
+        found = search(pt, a, p, *window)
+        searches.append((pt, a, None if found is None else frozenset(found)))
+        return found
+
+    search = varieties._annihilators
+    monkeypatch.setattr(varieties, "_annihilators", watched)
+    seen = {"several annihilators first": 0, "small order skipped": 0, "E decides": 0,
+            "E' decides after E points": 0}
+    for p in (n for n in range(230, 400) if is_prime(n)):
+        for a, b in [(-1, 0), (1, 0), (2, 0), (0, 1), (0, 5), (1, 1), (-3, 2)]:
+            if (4 * a**3 + 27 * b**2) % p == 0:
+                continue
+            searches.clear()
+            spec = EllipticCurve(p, a, b)
+            trace = elliptic_trace(spec)
+            assert trace == elliptic_trace_by_square_table(spec), spec
+            # replay the candidate intersection: it first becomes a single value at the last search
+            candidates, twisted = None, []
+            for i, ((x, y), curve_a, found) in enumerate(searches):
+                on_e = curve_a == a % p and (y * y - x**3 - a * x - b) % p == 0
+                twisted.append(not on_e)
+                if found is not None:
+                    found = found if on_e else {2 * p + 2 - n for n in found}
+                    candidates = found if candidates is None else candidates & found
+                assert (candidates is not None and len(candidates) == 1) == (i == len(searches) - 1), spec
+            assert candidates == {p + 1 - trace}
+            seen["several annihilators first"] += len(searches[0][2] or ()) > 1
+            seen["small order skipped"] += any(found is None for _, _, found in searches)
+            seen["E decides"] += not twisted[-1]
+            seen["E' decides after E points"] += twisted[-1] and not all(twisted)
+    assert all(seen.values()), seen
+
+
 def test_product_counts_multiply_pointwise():
     square = point_counts(ProductSpec((E, E)), 3)
     single = point_counts(E, 3)
@@ -261,11 +310,14 @@ def test_closed_point_counts_with_no_degrees_is_empty():
     "search, required",
     [
         (lambda budget: elliptic_trace(E, budget), 10),  # 2p
+        # w = isqrt(4p) = 63, m = isqrt(w) = 7: 7 baby steps, ceil(127/15) = 9 giant steps,
+        # 6 * bitlen(p + 1 + w) = 6 * 11 scalar-multiplication steps
+        (lambda budget: elliptic_trace(EllipticCurve(1009, 1, 1), budget), 82),
         (lambda budget: point_count_by_enumeration(E, 2, budget), 50),  # 2q over F_25
         (lambda budget: point_count_by_enumeration(CUBIC, 3, budget), 64),  # q^n over F_8
         (lambda budget: point_counts(CUBIC, 3, budget), 64),
     ],
-    ids=["elliptic-trace", "elliptic-points", "equations-enumeration", "equations-root-count"],
+    ids=["elliptic-trace", "elliptic-trace-bsgs", "elliptic-points", "equations-enumeration", "equations-root-count"],
 )
 def test_every_search_is_charged_by_one_budget_gate(search, required):
     with pytest.raises(BudgetError) as info:
