@@ -11,7 +11,8 @@ first runs the one test of honesty, ``closed_point_degree_counts``: the
 closed-point counts a_d must be nonnegative integers.  Their integrality
 is the ghost-image criterion, so a table that passes inverts integrally.
 ``spec_zeta`` needs no table for affine and projective spaces and elliptic
-curves: it expands num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t) in O(N) steps.
+curves: it expands num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t) in O(N) steps, and
+``rational_reconstruct`` recovers num/den by Berlekamp-Massey over ZZ.
 
 Symmetric powers ride on the same recursion: the r-th count of Sym^n X is
 the degree-n series coefficient obtained by ghost-inverting the subsampled
@@ -23,8 +24,8 @@ coefficient equals Z(Sym^n X, t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InconsistentCountsError, PrecisionError, ReconstructionError
@@ -51,8 +52,9 @@ def zeta_from_counts(counts: PointCounts, prec: int) -> WittVector:
 def spec_zeta(spec: VarietySpec, prec: int, budget: int = DEFAULT_ENUM_BUDGET) -> WittVector:
     """Z(X, t) to precision N; closed form for A^d, P^d and E, else ``zeta_from_counts``.
 
-    Z = num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t); the product's t^k coefficient is
-    q^(lo*k) g_k, g_k = [hi-lo+k choose k]_q = g_(k-1) (q^(hi-lo+k) - 1) / (q^k - 1).
+    Z = num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t).  One or two factors (A^d, P^0, P^1, E)
+    go into num one at a time, h_k += q^i h_(k-1), with no division; P^d, d >= 2, has
+    [d+k choose k]_q = g_k = g_(k-1) (q^(d+k) - 1) / (q^k - 1) at t^k (lo = 0).
     E's num = 1 - a*t + p*t^2 takes a = p + 1 - N_1 from ``point_counts``,
     which charges the budget and checks the Hasse bound."""
     if prec < 1:
@@ -65,14 +67,15 @@ def spec_zeta(spec: VarietySpec, prec: int, budget: int = DEFAULT_ENUM_BUDGET) -
         lo, hi, num = 0, 1, (1, point_counts(spec, 1, budget).counts[0] - spec.p - 1, spec.p)
     else:
         return zeta_from_counts(point_counts(spec, prec, budget), prec)
-    q, step, top = spec.q, spec.q**lo, spec.q ** (hi - lo)
-    qk, ql, g, h = 1, 1, 1, [1]
-    for _ in range(prec):
-        qk, ql = qk * q, ql * step
-        g = g * (top * qk - 1) // (qk - 1)
-        h.append(ql * g)
-    return WittVector(TruncatedSeries(ZZ, [sum(c * h[k - j] for j, c in enumerate(num[: k + 1]))
-                                           for k in range(prec + 1)]))
+    q, h = spec.q, (list(num) + [0] * prec)[: prec + 1]
+    if hi - lo <= 1:
+        for c in (q**i for i in range(lo, hi + 1)):
+            for k in range(1, prec + 1):
+                h[k] += c * h[k - 1]
+    else:
+        for k in range(1, prec + 1):
+            h[k] = h[k - 1] * (q ** (hi + k) - 1) // (q**k - 1)
+    return WittVector(TruncatedSeries(ZZ, h))
 
 
 def mobius(n: int) -> int:
@@ -119,20 +122,22 @@ def euler_product_zeta(counts: PointCounts, prec: int) -> WittVector:
     """Z(X, t) as the Euler product over closed points of degree <= N.
 
     Each factor (1 - t^d)^(-a_d) = sum_k C(a_d+k-1, k) t^(dk) comes from the
-    power recurrence of ``pow_int`` in O(N) steps for any a_d ~ q^d/d; no
-    ghost coordinates or Newton steps are involved, so this is an independent
-    route to the same Witt vector as ``zeta_from_counts``.
+    power recurrence of ``pow_int`` in O(N) steps for any a_d ~ q^d/d and is
+    multiplied in over its terms t^(dk) only; no ghost coordinates or Newton
+    steps are involved: an independent route to ``zeta_from_counts``'s vector.
     """
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    series = TruncatedSeries.one(ZZ, prec)
+    series = [1] + [0] * prec
     for d, a_d in enumerate(closed_point_degree_counts(counts, prec), start=1):
         if a_d == 0:
             continue
         factor = [1] + [0] * prec
         factor[d] = -1
-        series = series * TruncatedSeries(ZZ, factor).pow_int(-a_d)
-    return WittVector(series)
+        f = TruncatedSeries(ZZ, factor).pow_int(-a_d).coeffs
+        for k in range(prec, d - 1, -1):
+            series[k] += sum(f[j] * series[k - j] for j in range(d, k + 1, d))
+    return WittVector(TruncatedSeries(ZZ, series))
 
 
 def sym_power_counts(counts: PointCounts, n: int, rmax: int) -> PointCounts:
@@ -310,24 +315,27 @@ class RationalFunction:
         return f"({self.num.render('t')})/({self.den.render('t')})"
 
 
-def _shortest_recurrence(seq: Sequence[int]) -> tuple[list[Fraction], int]:
-    """Berlekamp-Massey over Q: the shortest (C, L) with C[0] = 1, deg C <= L
-    and sum_{i<=L} C[i]*seq[j-i] = 0 for every L <= j < len(seq).
+def _shortest_recurrence(seq: Sequence[int]) -> tuple[list[int], int]:
+    """Fraction-free Berlekamp-Massey: the shortest (C, L), C primitive, deg C <= L
+    and sum_{i<=L} C[i]*seq[j-i] = 0 for every L <= j < len(seq).  Each update
+    prev_disc*C - disc*t^shift*B is the one over Q times a nonzero integer (Bareiss),
+    so C is the recurrence over Q up to scale, integral exactly when C[0] = +-1.
     """
-    conn = [Fraction(1)] + [Fraction(0)] * len(seq)
-    prev, prev_len, prev_disc = conn[:], 0, Fraction(1)
+    conn, prev, prev_disc = [1], [1], 1
     length, shift = 0, 1
     for n in range(len(seq)):
-        disc = sum(conn[i] * seq[n - i] for i in range(length + 1))
+        disc = sum(c * seq[n - i] for i, c in enumerate(conn))
         if disc:
-            saved, factor = conn[:], disc / prev_disc
-            for i in range(prev_len + 1):
-                conn[i + shift] -= factor * prev[i]
+            saved, conn = conn, [prev_disc * c for c in conn] + [0] * (len(prev) + shift - len(conn))
+            for i, b in enumerate(prev, shift):
+                conn[i] -= disc * b
+            content = math.gcd(*conn)
+            conn = [c // content for c in conn]
             if 2 * length <= n:
-                prev, prev_len, prev_disc = saved, length, disc
+                prev, prev_disc = saved, disc
                 length, shift = n + 1 - length, 0
         shift += 1
-    return conn[: length + 1], length
+    return conn, length
 
 
 def rational_reconstruct(source: WittVector | TruncatedSeries, dmax: int) -> RationalFunction:
@@ -335,12 +343,13 @@ def rational_reconstruct(source: WittVector | TruncatedSeries, dmax: int) -> Rat
 
     With precision N >= 2*dmax every fraction within the bound that matches
     c_0..c_N is the same rational function.  Its reduced denominator is the
-    shortest linear recurrence of c_1..c_N (Berlekamp-Massey over Q), and
-    it exists exactly when that recurrence has length <= dmax; c_0 stays
-    out, as deg num = dmax can lengthen the recurrence of c_0..c_N.  The
-    numerator is the first dmax+1 coefficients of den*S, and the result is
-    checked against every known coefficient.  Needs precision >= 2*dmax and
-    c_0 = 1; any other constant term raises ValueError before any work.
+    shortest linear recurrence of c_1..c_N (fraction-free Berlekamp-Massey),
+    and it exists exactly when that recurrence has length <= dmax and
+    constant term +-1; c_0 stays out, as deg num = dmax can lengthen the
+    recurrence of c_0..c_N.  The numerator is the first dmax+1 coefficients
+    of den*S, and the result is checked against every known coefficient.
+    Needs precision >= 2*dmax and c_0 = 1; any other constant term raises
+    ValueError before any work.
     """
     series = source.series if isinstance(source, WittVector) else source
     if series.ring != ZZ:
@@ -356,8 +365,8 @@ def rational_reconstruct(source: WittVector | TruncatedSeries, dmax: int) -> Rat
             required=2 * dmax,
         )
     conn, length = _shortest_recurrence(series.coeffs[1:])
-    if length <= dmax and all(v.denominator == 1 for v in conn):
-        den = IntPolynomial([int(v) for v in conn])
+    if length <= dmax and abs(conn[0]) == 1:
+        den = IntPolynomial([conn[0] * v for v in conn])
         den_series = TruncatedSeries(ZZ, [den.coefficient(i) for i in range(dmax + 1)])
         candidate = RationalFunction(IntPolynomial((den_series * series).coeffs), den)
         if candidate.series(prec) == series:

@@ -1,7 +1,7 @@
 """Differential tests: rational reconstruction against the route it replaced.
 
 ``rational_reconstruct`` reads the denominator off the shortest linear
-recurrence of c_1..c_N (Berlekamp-Massey over Q).  The route it replaced is
+recurrence of c_1..c_N (Berlekamp-Massey).  The route it replaced is
 kept here as an oracle: for each denominator degree k = 0..dmax in turn,
 solve the recurrence the coefficients beyond degree dmax must satisfy by
 Gauss-Jordan elimination over ``Fraction``, and take the first integral
@@ -13,12 +13,19 @@ perturbed coefficient, or no nonzero coefficient at all.  Both routes must
 return the same num, den and display, or raise the same exception type
 with the same message and ``required``.
 
+Berlekamp-Massey itself runs on integers, with a primitive connection
+polynomial and no division but the content.  The ``Fraction`` version it
+replaced is kept as ``shortest_recurrence_over_q``; the fraction-free one
+must return the same length and the same polynomial up to its constant term.
+
 ``RationalFunction`` normalisation tries (1 - c*t) for every divisor c of
 the leading coefficient; ``_divisors`` lists them from a factorisation.  The
 trial-division scan up to sqrt(n) it replaced is kept as its oracle.
 """
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +34,7 @@ from wittzeta.errors import PrecisionError, ReconstructionError
 from wittzeta.rings import IntPolynomial, TruncatedSeries, ZZ
 from wittzeta.varieties import EllipticCurve
 from wittzeta.witt import WittVector
-from wittzeta.zeta import RationalFunction, _divisors, rational_reconstruct, sym_zeta
+from wittzeta.zeta import RationalFunction, _divisors, _shortest_recurrence, rational_reconstruct, sym_zeta
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -188,6 +195,80 @@ def test_sym6_elliptic_curve_over_f5_below_its_degree():
     z = sym_zeta(EllipticCurve(5, 1, 1), 6, 60)
     kind, _, required = assert_routes_agree(z, 11)
     assert (kind, required) == ("ReconstructionError", 24)
+
+
+def shortest_recurrence_over_q(seq: Sequence[int]) -> tuple[list[Fraction], int]:
+    """Berlekamp-Massey over Q: the shortest (C, L) with C[0] = 1, deg C <= L
+    and sum_{i<=L} C[i]*seq[j-i] = 0 for every L <= j < len(seq).
+    """
+    conn = [Fraction(1)] + [Fraction(0)] * len(seq)
+    prev, prev_len, prev_disc = conn[:], 0, Fraction(1)
+    length, shift = 0, 1
+    for n in range(len(seq)):
+        disc = sum(conn[i] * seq[n - i] for i in range(length + 1))
+        if disc:
+            saved, factor = conn[:], disc / prev_disc
+            for i in range(prev_len + 1):
+                conn[i + shift] -= factor * prev[i]
+            if 2 * length <= n:
+                prev, prev_len, prev_disc = saved, length, disc
+                length, shift = n + 1 - length, 0
+        shift += 1
+    return conn[: length + 1], length
+
+
+def assert_recurrences_agree(seq):
+    """The integer recurrence is primitive and is the one over Q up to scale."""
+    conn, length = _shortest_recurrence(seq)
+    expected, expected_length = shortest_recurrence_over_q(seq)
+    assert length == expected_length
+    assert conn[0] != 0 and math.gcd(*conn) == 1
+    assert [Fraction(c, conn[0]) for c in conn] == expected
+    return conn, length
+
+
+@st.composite
+def recurrence_sequences(draw):
+    """Zero runs, geometric sequences, and linear recurrences with values up to 10**30."""
+    kind = draw(st.sampled_from(["runs", "geometric", "recurrence", "huge"]))
+    size = draw(st.integers(0, 24))
+    if kind == "runs":
+        return [draw(st.sampled_from([0] * 3 + [1, -2, 7])) for _ in range(size)]
+    if kind == "geometric":
+        a, r = draw(st.integers(-10**6, 10**6)), draw(st.sampled_from([-3, -1, 2, 5, 10**9]))
+        return [a * r**k for k in range(size)]
+    if kind == "huge":
+        return draw(st.lists(st.integers(-10**30, 10**30), max_size=size))
+    # den[0]*a(n) = -sum_{i>=1} den[i]*a(n-i), run while a(n) stays integral: with
+    # den[0] != +-1 the recurrence over Q is not integral, as for 4, 2, 1
+    den = [draw(st.sampled_from([1, 2, 3, -4]))] + draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    seq = draw(st.lists(st.integers(-5, 5), min_size=len(den) - 1, max_size=len(den) - 1))
+    while len(seq) < size:
+        acc = -sum(c * seq[-i] for i, c in enumerate(den[1:], 1))
+        if acc % den[0]:
+            break
+        seq.append(acc // den[0])
+    return seq
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(seq=recurrence_sequences())
+def test_fraction_free_recurrence_matches_the_rational_one(seq):
+    assert_recurrences_agree(seq)
+
+
+def test_recurrence_that_is_not_integral_is_refused():
+    # 4, 2, 1 satisfies 1 - t/2 over Q: the primitive form 2 - t has conn[0] = 2.
+    assert assert_recurrences_agree([4, 2, 1]) == ([2, -1], 1)
+    kind, _, required = assert_routes_agree(TruncatedSeries(ZZ, [1, 4, 2, 1]), 1)
+    assert (kind, required) == ("ReconstructionError", 4)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fraction_free_recurrence_of_sym_powers_of_an_elliptic_curve_over_f5(n):
+    z = sym_zeta(EllipticCurve(5, 1, 1), n, 4 * n + 4)
+    conn, length = assert_recurrences_agree(z.series.coeffs[1:])
+    assert (abs(conn[0]), length) == (1, 2 * n)
 
 
 def divisors_by_scan(n: int) -> list[int]:

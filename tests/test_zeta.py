@@ -241,6 +241,47 @@ def test_generating_series_is_sigma_of_the_counts_route(spec, outer, inner):
     assert zeta_generating_series(spec, outer, inner) == expected
 
 
+def closed_form_by_gaussian_quotients(q, lo, hi, num, prec):
+    """num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t) to precision N: the t^k coefficient of
+    the product is q^(lo*k) g_k, g_k = g_(k-1) (q^(hi-lo+k) - 1) / (q^k - 1)."""
+    step, top = q**lo, q ** (hi - lo)
+    qk, ql, g, h = 1, 1, 1, [1]
+    for _ in range(prec):
+        qk, ql = qk * q, ql * step
+        g = g * (top * qk - 1) // (qk - 1)
+        h.append(ql * g)
+    return tuple(sum(c * h[k - j] for j, c in enumerate(num[: k + 1])) for k in range(prec + 1))
+
+
+LARGE_PRIMES = (5, 7, 229, 233, 10007, 99991, 10**6 + 3, 10**9 + 7, 10**12 + 39)
+
+
+@st.composite
+def two_factor_specs(draw):
+    """A^d (d <= 50), P^0, P^1, or E over F_p for p up to 10^12 + 39."""
+    kind = draw(st.sampled_from(["affine", "projective", "elliptic"]))
+    if kind == "affine":
+        return AffineSpace(draw(st.integers(0, 50)), draw(st.sampled_from(PRIME_POWERS)))
+    if kind == "projective":
+        return ProjectiveSpace(draw(st.integers(0, 1)), draw(st.sampled_from(PRIME_POWERS)))
+    p = draw(st.sampled_from(LARGE_PRIMES))
+    a, start = draw(st.integers(0, 50)) % p, draw(st.integers(0, 50))
+    b = next(b for b in range(start, start + p) if (4 * a**3 + 27 * b**2) % p)
+    return EllipticCurve(p, a, b % p)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(spec=two_factor_specs(), prec=st.integers(1, 300))
+def test_two_factor_expansion_matches_the_gaussian_quotients(spec, prec):
+    if isinstance(spec, AffineSpace):
+        lo, hi, num = spec.dim, spec.dim, (1,)
+    elif isinstance(spec, ProjectiveSpace):
+        lo, hi, num = 0, spec.dim, (1,)
+    else:
+        lo, hi, num = 0, 1, (1, point_counts(spec, 1).counts[0] - spec.p - 1, spec.p)
+    assert spec_zeta(spec, prec).series.coeffs == closed_form_by_gaussian_quotients(spec.q, lo, hi, num, prec)
+
+
 def test_spec_zeta_closed_forms_by_hand():
     assert spec_zeta(AffineSpace(1, 2), 4) == teichmuller(2, 4)
     assert spec_zeta(ProjectiveSpace(1, 2), 3).coeffs == (3, 7, 15)
