@@ -69,6 +69,7 @@ def sigma_witt(p: WittVector, outer_prec: int) -> WittVector:
     The n-th outer ghost coordinate is F_n(P); Frobenius divides precision
     by n, so the inner precision N' is what survives all of F_1..F_M, and
     F_n needs P only up to degree n*N'.  Requires N >= M so that N' >= 1.
+    One ghost map of P serves all F_n, read off the prefixes its truncations carry.
     """
     if outer_prec < 1:
         raise ValueError("outer precision must be at least 1")
@@ -80,7 +81,8 @@ def sigma_witt(p: WittVector, outer_prec: int) -> WittVector:
         )
     inner_prec = p.prec // outer_prec
     inner_ring = WittRing(p.ring, inner_prec)
-    coords = tuple(frobenius(p.truncate(n * inner_prec), n) for n in range(1, outer_prec + 1))
+    top = p.truncate(outer_prec * inner_prec).with_ghost()
+    coords = tuple(frobenius(top.truncate(n * inner_prec), n) for n in range(1, outer_prec + 1))
     return ghost_inverse(GhostVector(inner_ring, coords))
 
 

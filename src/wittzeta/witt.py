@@ -7,7 +7,8 @@ inversion.  The ghost coordinates of P are the coefficients b1..bN of
 t*P'/P; sending P to its ghost vector turns Witt addition and Witt
 multiplication into pointwise operations, which is how multiplication and
 Frobenius are computed here: move to ghost coordinates, operate pointwise,
-and move back.  Both ways run the identity P*B = t*P' at degree n,
+and move back (free for a vector made by ``ghost_inverse``, which keeps its
+ghost vector).  Both ways run the identity P*B = t*P' at degree n,
 
     n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1,
 
@@ -38,10 +39,11 @@ class WittVector:
     the underlying series, ``-`` inverts it, ``*`` is the Witt product
     characterized by [a]*[b] = [ab] on Teichmueller lifts.  Comparison of
     vectors with different precision is allowed and compares coefficients
-    up to the common precision.
+    up to the common precision.  Vectors from ``ghost_inverse``, ``with_ghost``
+    and their truncations carry ghost coordinates from birth, never set later.
     """
 
-    __slots__ = ("series",)
+    __slots__ = ("series", "_ghost")
 
     def __init__(self, series: TruncatedSeries):
         if series.prec < 1:
@@ -49,6 +51,7 @@ class WittVector:
         if not series.ring.eq(series.coeffs[0], series.ring.one):
             raise ValueError("a Witt vector is a series with constant term 1")
         self.series = series
+        self._ghost = None
 
     @classmethod
     def from_coeffs(cls, ring: Ring, coeffs: Sequence[Element]) -> "WittVector":
@@ -75,7 +78,20 @@ class WittVector:
     def truncate(self, prec: int) -> "WittVector":
         if prec < 1:
             raise ValueError("precision must be at least 1")
-        return WittVector(self.series.truncate(prec))
+        if prec == self.prec:
+            return self
+        v = WittVector(self.series.truncate(prec))
+        # the ghost map is triangular: the first prec coordinates are the truncation's
+        return v if self._ghost is None else v._born_with(GhostVector(self.ring, self._ghost.coords[:prec]))
+
+    def _born_with(self, g: "GhostVector") -> "WittVector":
+        """Record g as the ghost coordinates of this vector, which is being made here."""
+        self._ghost = g
+        return self
+
+    def with_ghost(self) -> "WittVector":
+        """A copy that carries its ghost coordinates: one ghost map, unless this vector has them."""
+        return WittVector(self.series)._born_with(ghost(self))
 
     def __add__(self, other: "WittVector") -> "WittVector":
         if not isinstance(other, WittVector):
@@ -197,6 +213,7 @@ def witt_add(p: WittVector, q: WittVector) -> WittVector:
 def witt_neg(p: WittVector) -> WittVector:
     return WittVector(p.series.inverse())
 
+
 def witt_sub(p: WittVector, q: WittVector) -> WittVector:
     return witt_add(p, witt_neg(q))
 
@@ -207,8 +224,10 @@ def witt_scale(p: WittVector, k: int) -> WittVector:
 
 
 def ghost(p: WittVector) -> GhostVector:
-    """Ghost coordinates b1..bN of t*P'/P, by one pass of the recurrence
-    bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1) read off from P*B = t*P'."""
+    """Ghost coordinates b1..bN of t*P'/P: those p was born with, else (storing nothing on
+    p) one pass of the recurrence bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1) from P*B = t*P'."""
+    if p._ghost is not None:
+        return p._ghost
     ring = p.ring
     a = p.series.coeffs
     b = [ring.zero]  # b[n] is the n-th ghost coordinate; b[0] is never read
@@ -223,7 +242,7 @@ def ghost_inverse(g: GhostVector) -> WittVector:
     Runs the Newton recursion n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1;
     the n-th step divides by n in the coefficient ring and raises
     IntegralityError (carrying n) if the coordinates are not the ghost
-    vector of anything.
+    vector of anything.  The result keeps g as its ghost coordinates.
     """
     ring = g.ring
     b = (ring.zero,) + g.coords  # b[n] is the n-th ghost coordinate; b[0] is never read
@@ -237,17 +256,13 @@ def ghost_inverse(g: GhostVector) -> WittVector:
                 f"the Newton step at degree {n} is not divisible by {n}",
                 degree=n,
             ) from exc
-    return WittVector(TruncatedSeries._make(ring, tuple(a)))
+    return WittVector(TruncatedSeries._make(ring, tuple(a)))._born_with(g)
 
 
 def witt_mul(p: WittVector, q: WittVector) -> WittVector:
     """The Witt product, computed through ghost coordinates."""
     prec = min(p.prec, q.prec)
-    if p.prec != prec:
-        p = p.truncate(prec)
-    if q.prec != prec:
-        q = q.truncate(prec)
-    return ghost_inverse(ghost(p) * ghost(q))
+    return ghost_inverse(ghost(p.truncate(prec)) * ghost(q.truncate(prec)))
 
 
 def witt_pow(p: WittVector, e: int) -> WittVector:
@@ -277,9 +292,7 @@ def frobenius(p: WittVector, n: int) -> WittVector:
             f"Frobenius F_{n} of a precision-{p.prec} vector has precision 0",
             required=n,
         )
-    g = ghost(p)
-    sub = tuple(g.coord(n * m) for m in range(1, out_prec + 1))
-    return ghost_inverse(GhostVector(p.ring, sub))
+    return ghost_inverse(GhostVector(p.ring, ghost(p).coords[n - 1 : n * out_prec : n]))
 
 
 def map_coefficients(p: WittVector, fn: Callable[[Element], Element], ring: Ring) -> WittVector:

@@ -20,6 +20,15 @@ non-root, both routes must raise IntegralityError with the same degree and
 message.  Powers are checked over ZZ, ZZ[z] and W_3(ZZ) for exponents in
 [-40, 40], for constant terms other than 1, and for (1 - t^d)^e with |e| up
 to 10^30 against its binomial coefficients.
+
+``sigma_witt`` runs one ghost map of P and lets each F_n read its prefix;
+the route it replaced, one ghost map per Frobenius, is kept here verbatim
+and compared on vectors over ZZ (random, and Z of random E/F_p), ZZ[z] and
+W_2(ZZ), errors and their ``required`` included.  A vector carries ghost
+coordinates only from birth (``ghost_inverse`` and truncations of its
+outputs): every kind of vector the library makes must carry the ghost of its
+own series, and a vector built from coefficients runs the recurrence on each
+``ghost`` call, so no call leaves state behind.
 """
 
 import math
@@ -27,12 +36,15 @@ import operator
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wittzeta import witt
-from wittzeta.errors import IntegralityError
+from wittzeta.errors import IntegralityError, PrecisionError
 from wittzeta.rings import IntPolynomial, TruncatedSeries, ZPOLY, ZZ, binary_power
-from wittzeta.witt import GhostVector, WittRing, WittVector, witt_mul, witt_scale
+from wittzeta.sigma import sigma_witt
+from wittzeta.varieties import EllipticCurve
+from wittzeta.witt import GhostVector, WittRing, WittVector, frobenius, ghost_inverse, witt_mul, witt_scale
+from wittzeta.zeta import spec_zeta
 
 
 def series_mul_by_loop(self: TruncatedSeries, other: TruncatedSeries) -> TruncatedSeries:
@@ -310,3 +322,161 @@ def test_pow_int_of_one_minus_t_d_is_the_binomial_series(d, prec, e):
     for k in range(prec // d + 1):
         expected[d * k] = math.comb(k - e - 1, k) if e < 0 else (-1) ** k * math.comb(e, k)
     assert TruncatedSeries(ZZ, factor).pow_int(e).coeffs == tuple(expected)
+
+
+def sigma_witt_by_frobenius_loop(p: WittVector, outer_prec: int) -> WittVector:
+    """sigma_u(P) in W_M(W_N'(A)), N' = floor(N/M), via outer ghosts.
+
+    The n-th outer ghost coordinate is F_n(P); Frobenius divides precision
+    by n, so the inner precision N' is what survives all of F_1..F_M, and
+    F_n needs P only up to degree n*N'.  Requires N >= M so that N' >= 1.
+    """
+    if outer_prec < 1:
+        raise ValueError("outer precision must be at least 1")
+    if p.prec < outer_prec:
+        raise PrecisionError(
+            f"sigma_u to outer precision {outer_prec} needs input precision "
+            f">= {outer_prec}, got {p.prec}",
+            required=outer_prec,
+        )
+    inner_prec = p.prec // outer_prec
+    inner_ring = WittRing(p.ring, inner_prec)
+    coords = tuple(frobenius(p.truncate(n * inner_prec), n) for n in range(1, outer_prec + 1))
+    return ghost_inverse(GhostVector(inner_ring, coords))
+
+
+def plain(x):
+    """A Witt vector as nested tuples of its precision and coefficients, down to the base ring."""
+    if isinstance(x, WittVector):
+        return ("W", x.prec, tuple(plain(c) for c in x.series.coeffs))
+    return x
+
+
+def sigma_outcome(route, p, outer_prec):
+    """route(p, outer_prec) in plain form, or the class, required and message of its error."""
+    try:
+        return plain(route(p, outer_prec))
+    except PrecisionError as exc:
+        return ("PrecisionError", exc.required, str(exc))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def zetas_of_elliptic_curves(draw, max_prec):
+    """Z(E/F_p, t) for a random nonsingular E, p < 60, from the closed form (it carries no ghost)."""
+    p = draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]))
+    a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    assume((4 * a**3 + 27 * b**2) % p)
+    return spec_zeta(EllipticCurve(p, a, b), draw(st.integers(1, max_prec)))
+
+
+# (input vectors, largest outer precision) for the sigma_witt oracle
+W2 = WittRing(ZZ, 2)
+SIGMA_CASES = {
+    "ZZ": (st.integers(1, 20).flatmap(lambda n: witt_vectors(ZZ, n)), 6),
+    "Z(E/F_p)": (zetas_of_elliptic_curves(30), 6),
+    "ZZ[z]": (st.integers(1, 8).flatmap(lambda n: witt_vectors(ZPOLY, n)), 4),
+    "W_2(ZZ)": (st.integers(1, 6).flatmap(lambda n: witt_vectors(W2, n)), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGMA_CASES))
+@settings(DIFFERENTIAL, max_examples=60)
+@given(data=st.data())
+def test_sigma_witt_matches_one_frobenius_ghost_map_each(case, data):
+    """One ghost map for all F_n gives what a ghost map per F_n gave, errors included.
+
+    M divides the input precision, leaves a remainder (the top degrees are
+    dropped), or is refused (M above the precision, or M < 1).  The old route
+    is fed the input without a ghost, so every F_n runs its own ghost map; the
+    new route also gets the same series as a ghost_inverse output, which
+    starts out carrying its ghost coordinates.
+    """
+    vectors, max_outer = SIGMA_CASES[case]
+    p = data.draw(vectors)
+    shape = data.draw(st.sampled_from(["divides", "remainder", "too short", "below one"]))
+    if shape == "too short":
+        p = p.truncate(data.draw(st.integers(1, min(p.prec, max_outer))))
+        outer = list(range(max_outer + 2, p.prec, -1))
+    elif shape == "below one":
+        outer = [0, -1]
+    else:  # largest first, so that M = 1 is not the usual draw
+        outer = [m for m in range(min(max_outer, p.prec), 0, -1) if (p.prec % m == 0) == (shape == "divides")]
+    assume(outer)
+    outer_prec = data.draw(st.sampled_from(outer))
+    old = sigma_outcome(sigma_witt_by_frobenius_loop, p, outer_prec)
+    assert sigma_outcome(sigma_witt, p, outer_prec) == old
+    assert sigma_outcome(sigma_witt, witt.ghost_inverse(witt.ghost(p)), outer_prec) == old
+
+
+def plain_ghost(g: GhostVector):
+    return g.prec, tuple(plain(c) for c in g.coords)
+
+
+def ghost_is_the_recurrence(v: WittVector) -> bool:
+    """ghost(v) equals the hand-written loop run on v's series, coordinate for coordinate."""
+    return plain_ghost(witt.ghost(v)) == plain_ghost(ghost_by_loop(WittVector(v.series)))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@DIFFERENTIAL
+@given(data=st.data())
+def test_every_vector_is_born_with_its_true_ghost(case, data):
+    """Whatever a vector carries from birth is the ghost of its series."""
+    ring, max_prec = CASES[case]
+    prec = data.draw(st.integers(1, max_prec))
+    p = data.draw(witt_vectors(ring, prec))
+    q = data.draw(witt_vectors(ring, prec))
+    born = witt.ghost_inverse(witt.ghost(p))
+    n = data.draw(st.integers(1, prec))
+    made = [
+        born,
+        born.truncate(data.draw(st.integers(1, prec))),
+        witt_mul(p, q),
+        witt_mul(born, q).truncate(n),
+        p.with_ghost(),
+        p.with_ghost().truncate(n),
+        witt.witt_pow(p, data.draw(st.integers(0, 3))),
+        witt.frobenius(p, n),
+        witt.frobenius(born, n),
+        WittRing(ring, prec).divide_exact(witt_scale(p, 2), 2),
+    ]
+    if prec <= 4:
+        made.append(sigma_witt(born, data.draw(st.integers(1, prec))))
+    for v in made:
+        assert ghost_is_the_recurrence(v)
+
+
+def test_ghost_of_a_vector_with_no_birth_ghost_runs_the_recurrence_every_time(monkeypatch):
+    calls = []
+    conv = witt._conv
+
+    def counting_conv(*args):
+        calls.append(1)
+        return conv(*args)
+
+    monkeypatch.setattr(witt, "_conv", counting_conv)
+    v = WittVector.from_coeffs(ZZ, [3, -1, 4, 1, -5, 9])
+    first = witt.ghost(v)
+    once = len(calls)
+    assert once == 6
+    assert witt.ghost(v) == first
+    assert len(calls) == 2 * once
+    born = witt.ghost_inverse(first)
+    calls.clear()
+    assert witt.ghost(born) is first and witt.ghost(born.truncate(4)).coords == first.coords[:4]
+    assert calls == []
+    carried = v.with_ghost()
+    assert len(calls) == once and witt.ghost(carried) == first and len(calls) == once
+    witt.ghost(v)
+    assert len(calls) == 2 * once  # with_ghost made a copy and left v without a ghost
+
+
+def test_ghost_inverse_still_refuses_coordinates_of_no_witt_vector():
+    with pytest.raises(IntegralityError) as info:
+        witt.ghost_inverse(GhostVector(ZZ, [1, 0, 0]))
+    assert info.value.degree == 2
+    assert str(info.value) == (
+        "no Witt vector has these ghost coordinates: the Newton step at degree 2 is not divisible by 2"
+    )

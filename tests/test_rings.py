@@ -252,7 +252,7 @@ def test_kernels_use_only_the_ring_handle_of_a_user_ring():
             p = WittVector.from_coeffs(ring, [gaussian() for _ in range(prec)])
             q = WittVector.from_coeffs(ring, [gaussian() for _ in range(prec)])
             assert ghost_inverse(ghost(p)) == p
-            assert ghost(witt_mul(p, q)) == ghost(p) * ghost(q)
+            assert ghost(WittVector(witt_mul(p, q).series)) == ghost(p) * ghost(q)
             s = TruncatedSeries(ring, [ring.one] + [gaussian() for _ in range(prec)])
             assert s * s.inverse() == TruncatedSeries.one(ring, prec)
 
