@@ -179,8 +179,13 @@ class PointCounts:
         return len(self.counts)
 
     def count(self, r: int) -> int:
-        """N_r, 1-indexed."""
-        if not 1 <= r <= len(self.counts):
+        """N_r, 1-indexed: the one range gate of a count table.
+
+        r < 1 is a ValueError; r past the range is a PrecisionError with
+        required = r, the range the table would need."""
+        if r < 1:
+            raise ValueError("count index must be at least 1")
+        if r > len(self.counts):
             raise PrecisionError(
                 f"count N_{r} requested but only range {len(self.counts)} is known",
                 required=r,
@@ -312,11 +317,7 @@ def point_counts(spec: VarietySpec, rmax: int, budget: int = DEFAULT_ENUM_BUDGET
     elif isinstance(spec, ProductSpec):
         counts = tuple(map(math.prod, zip(*(point_counts(f, rmax, budget).counts for f in spec.factors))))
     elif isinstance(spec, CountsSpec):
-        if len(spec.counts) < rmax:
-            raise PrecisionError(
-                f"counts spec knows N_1..N_{len(spec.counts)} but range {rmax} was requested",
-                required=rmax,
-            )
+        PointCounts(spec.q, spec.counts).count(rmax)  # the range gate: N_rmax must be known
         counts = spec.counts[:rmax]
     elif isinstance(spec, EquationsSpec):
         counts = tuple(count_affine_points(spec.polys, len(spec.variables), FiniteField(spec.p, r), budget)
@@ -330,13 +331,8 @@ def base_change(counts: PointCounts, r: int) -> PointCounts:
     """Counts of the same variety viewed over F_{q^r}: subsample N_{r*m}."""
     if r < 1:
         raise ValueError("base-change degree must be at least 1")
-    new_range = counts.range // r
-    if new_range < 1:
-        raise PrecisionError(
-            f"base change by {r} needs count range >= {r}, got {counts.range}",
-            required=r,
-        )
-    return PointCounts(counts.q**r, tuple(counts.count(r * m) for m in range(1, new_range + 1)))
+    counts.count(r)  # the range gate: N_r must be known
+    return PointCounts(counts.q**r, counts.counts[r - 1 :: r])
 
 
 def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int) -> list[Point]:
@@ -406,26 +402,16 @@ def brute_sym_count(
     """N_r of the n-th symmetric power, counted as multisets of closed points.
 
     A point of Sym^n X over F_{q^r} is a multiset of closed points of
-    X/F_{q^r} with degrees summing to n, so the count is a finite sum of
-    products of multiset coefficients; no series or ghost arithmetic is
-    involved.
+    X/F_{q^r} with degrees summing to n, so the count is the u^n coefficient
+    of prod_d sum_k C(c_d+k-1, k) u^(dk), c_d the closed points of degree d;
+    no series or ghost arithmetic is involved.
     """
     if n < 0:
         raise ValueError("symmetric power index must be nonnegative")
     if n == 0:
         return 1
-    degree_counts = closed_point_counts(spec, r, n, budget)
-    ways = [1] + [0] * n
-    for d in range(1, n + 1):
-        c = degree_counts[d - 1]
-        nxt = [0] * (n + 1)
-        for total in range(n + 1):
-            k = 0
-            while d * k <= total:
-                prev = ways[total - d * k]
-                if prev:
-                    sets = 1 if k == 0 else math.comb(c + k - 1, k)
-                    nxt[total] += sets * prev
-                k += 1
-        ways = nxt
+    ways = [1] + [0] * n  # ways[m]: multisets of total degree m from the degrees seen so far
+    for d, c in enumerate(closed_point_counts(spec, r, n, budget), start=1):
+        ways = [sum(math.comb(c + k - 1, k) * ways[m - d * k] for k in range(m // d + 1)) if c else ways[m]
+                for m in range(n + 1)]
     return ways[n]

@@ -40,11 +40,6 @@ def zeta_from_counts(counts: PointCounts, prec: int) -> WittVector:
     """Z(X, t) to precision N: the closed-point test, then one ghost inversion."""
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    if counts.range < prec:
-        raise PrecisionError(
-            f"zeta to precision {prec} needs counts N_1..N_{prec}, got range {counts.range}",
-            required=prec,
-        )
     closed_point_degree_counts(counts, prec)
     return ghost_inverse(GhostVector(ZZ, counts.counts[:prec]))
 
@@ -101,12 +96,12 @@ def closed_point_degree_counts(counts: PointCounts, dmax: int) -> tuple[int, ...
 
     N_m = sum_{d | m} d*a_d, so one forward pass subtracts each d*a_d from
     N_m for every multiple m of d, in O(N log N) steps; the first degree whose
-    a_d is not a nonnegative integer raises InconsistentCountsError."""
-    if counts.range < dmax:
-        raise PrecisionError(
-            f"degree-{dmax} closed points need counts to range {dmax}, got {counts.range}",
-            required=dmax,
-        )
+    a_d is not a nonnegative integer raises InconsistentCountsError.  A table
+    shorter than dmax raises PrecisionError from ``PointCounts.count`` first."""
+    if dmax < 0:
+        raise ValueError("closed-point degree bound must be nonnegative")
+    if dmax:
+        counts.count(dmax)
     rest = list(counts.counts[:dmax])  # rest[d-1] is d*a_d once the pass reaches d
     for d in range(1, dmax + 1):
         if rest[d - 1] % d or rest[d - 1] < 0:
@@ -154,11 +149,6 @@ def sym_power_counts(counts: PointCounts, n: int, rmax: int) -> PointCounts:
         raise ValueError("count range must be at least 1")
     if n == 0:
         return PointCounts(counts.q, (1,) * rmax)
-    if counts.range < n * rmax:
-        raise PrecisionError(
-            f"Sym^{n} counts to range {rmax} need input range {n * rmax}, got {counts.range}",
-            required=n * rmax,
-        )
     closed_point_degree_counts(counts, n * rmax)
     subsamples = (counts.counts[r - 1 : n * r : r] for r in range(1, rmax + 1))
     return PointCounts(counts.q, tuple(ghost_inverse(GhostVector(ZZ, sub)).coefficient(n) for sub in subsamples))

@@ -353,7 +353,9 @@ def test_exit_code_4_on_budget(capsys, monkeypatch):
 def test_exit_code_5_on_precision_shortfall(capsys):
     code, out, err = run_cli(capsys, "zeta", "--spec", '{"type":"counts","q":2,"counts":[2]}', "-N", "3")
     assert (code, out) == (5, "")
-    assert json.loads(err)["error"]["code"] == "precision-shortfall"
+    error = json.loads(err)["error"]
+    assert (error["code"], error["required"]) == ("precision-shortfall", 3)
+    assert error["message"] == "count N_3 requested but only range 1 is known"
 
 
 def test_budget_env_var_must_be_positive(capsys, monkeypatch):

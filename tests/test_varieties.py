@@ -91,8 +91,12 @@ def test_point_counts_type_validation():
     counts = PointCounts(2, (3, 5))
     assert counts.range == 2
     assert counts.count(2) == 5
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError) as info:
         counts.count(3)
+    assert info.value.required == 3
+    for r in (0, -1):  # more range cannot help below N_1
+        with pytest.raises(ValueError):
+            counts.count(r)
 
 
 # --- closed-form and recursive counting ---
@@ -199,8 +203,9 @@ def test_product_counts_multiply_pointwise():
 def test_counts_spec_passthrough_and_range_guard():
     spec = CountsSpec(2, (3, 5, 9))
     assert point_counts(spec, 2).counts == (3, 5)
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError) as info:
         point_counts(spec, 4)
+    assert (info.value.required, str(info.value)) == (4, "count N_4 requested but only range 3 is known")
 
 
 def test_equations_counts_by_enumeration():
@@ -255,8 +260,11 @@ def test_base_change_subsamples():
 def test_base_change_identity_and_range_guard():
     counts = point_counts(E, 4)
     assert base_change(counts, 1) == counts
-    with pytest.raises(PrecisionError):
-        base_change(PointCounts(2, (3,)), 2)
+    assert base_change(counts, 3).counts == (counts.count(3),)
+    for table, r in (((3,), 2), ((3, 5, 9), 4), ((3, 5, 9), 5)):
+        with pytest.raises(PrecisionError) as info:
+            base_change(PointCounts(2, table), r)
+        assert (info.value.required, str(info.value)) == (r, f"count N_{r} requested but only range {len(table)} is known")
 
 
 def test_base_change_matches_extension_field_enumeration():

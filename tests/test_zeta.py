@@ -132,11 +132,14 @@ def count_tables(draw, prec):
 
 
 def outcome(fn):
-    """What fn() returns, or the degree and message of the InconsistentCountsError it raises."""
+    """What fn() returns, or the degree and message of the InconsistentCountsError
+    it raises, or the required range and message of its PrecisionError."""
     try:
         return fn()
     except InconsistentCountsError as exc:
         return ("InconsistentCountsError", exc.degree, str(exc))
+    except PrecisionError as exc:
+        return ("PrecisionError", exc.required, str(exc))
 
 
 COUNT_TABLES = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -153,11 +156,18 @@ def test_divisor_pass_matches_the_mobius_scan(data):
     )
 
 
+def test_closed_point_degree_counts_bounds_the_degree_below():
+    counts = PointCounts(2, (3, 5, 9))
+    assert closed_point_degree_counts(counts, 0) == ()
+    with pytest.raises(ValueError):
+        closed_point_degree_counts(counts, -1)
+
+
 @COUNT_TABLES
 @given(data=st.data())
 def test_every_route_judges_a_table_by_the_closed_point_pass(data):
     n, rmax = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
-    counts = data.draw(count_tables(n * rmax))
+    counts = data.draw(count_tables(data.draw(st.just(n * rmax) | st.integers(1, n * rmax))))
     verdict = outcome(lambda: closed_point_degree_counts(counts, n * rmax))
     routes = {
         "zeta_from_counts": lambda: zeta_from_counts(counts, n * rmax),
@@ -165,7 +175,10 @@ def test_every_route_judges_a_table_by_the_closed_point_pass(data):
         "sym_power_counts": lambda: sym_power_counts(counts, n, rmax),
     }
     results = {name: outcome(route) for name, route in routes.items()}
-    if verdict[0] == "InconsistentCountsError":
+    if counts.range < n * rmax:  # every route needs N_1..N_(n*rmax), so a short table fails at once
+        message = f"count N_{n * rmax} requested but only range {counts.range} is known"
+        assert verdict == ("PrecisionError", n * rmax, message)
+    if verdict[0] in ("InconsistentCountsError", "PrecisionError"):
         assert all(result == verdict for result in results.values()), results
     else:
         assert results["zeta_from_counts"] == results["euler_product_zeta"]
