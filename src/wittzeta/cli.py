@@ -75,12 +75,12 @@ def _lifted(convert: Callable[..., Any], *args: Any) -> Any:
 
 
 def _int_to_wire(n: int) -> str:
-    """n in decimal; BudgetError (exit 4), with required = its digits, past _WIRE_DIGITS."""
+    """n in decimal, under _emit's digit-limit lift; BudgetError (exit 4, required = its digits) past _WIRE_DIGITS."""
     k = int((abs(n).bit_length() - 1) * math.log10(2)) + 1  # n has the k digits of 2**(bits-1), or k+1
     if k >= _WIRE_DIGITS and (digits := k + (abs(n) >= 10**k)) > _WIRE_DIGITS:
         raise BudgetError(f"an output integer has {digits} digits, the wire carries at most {_WIRE_DIGITS}",
                           required=digits, budget=_WIRE_DIGITS)
-    return _lifted(str, n)
+    return str(n)
 
 
 def _int_from_wire(value: Any, what: str) -> int:
@@ -156,7 +156,7 @@ def encode_rational(rf: RationalFunction) -> dict:
         "num": [_int_to_wire(rf.num.coefficient(k)) for k in range(max(rf.num.degree, 0) + 1)],
         "den": [_int_to_wire(rf.den.coefficient(k)) for k in range(max(rf.den.degree, 0) + 1)],
     }
-    shown = _lifted(rf.display)
+    shown = rf.display()
     if shown is not None:
         doc["display"] = shown
     return doc
@@ -200,8 +200,10 @@ def decode_spec(obj: Any) -> VarietySpec:
     raise SpecError(f"unknown variety type {kind!r}")
 
 
-def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+def _emit(encode: Callable[..., dict], *args: Any, **kwargs: Any) -> None:
+    """Print the document encode(*args, **kwargs), the digit limit lifted once for all of it."""
+    doc = _lifted(lambda: json.dumps(encode(*args, **kwargs), sort_keys=True, separators=(",", ":")))
+    sys.stdout.write(doc + "\n")
 
 
 def _budget() -> int:
@@ -237,7 +239,7 @@ def cmd_witt(args: argparse.Namespace) -> int:
         if args.ghost is None:
             raise SpecError("unghost needs --ghost coordinates")
         g = decode_ghost(_parse_json(args.ghost, "ghost coordinates", wire=True))
-        _emit(encode_witt(ghost_inverse(g)))
+        _emit(encode_witt, ghost_inverse(g))
         return 0
     operands = _witt_operands(args)
     if op in ("add", "mul"):
@@ -258,7 +260,7 @@ def cmd_witt(args: argparse.Namespace) -> int:
     elif op == "ghost":
         if len(operands) != 1:
             raise SpecError("ghost takes exactly one operand")
-        _emit(encode_ghost(ghost(operands[0])))
+        _emit(encode_ghost, ghost(operands[0]))
         return 0
     elif op == "frob":
         if len(operands) != 1:
@@ -270,7 +272,7 @@ def cmd_witt(args: argparse.Namespace) -> int:
         raise SpecError(f"unknown witt operation {op!r}")
     if args.precision is not None and args.precision < result.prec:
         result = result.truncate(args.precision)
-    _emit(encode_witt(result))
+    _emit(encode_witt, result)
     return 0
 
 
@@ -279,19 +281,19 @@ def _decode_spec_arg(args: argparse.Namespace) -> VarietySpec:
 
 
 def cmd_zeta(args: argparse.Namespace) -> int:
-    _emit(encode_witt(spec_zeta(_decode_spec_arg(args), args.precision, _budget())))
+    _emit(encode_witt, spec_zeta(_decode_spec_arg(args), args.precision, _budget()))
     return 0
 
 
 def cmd_sym(args: argparse.Namespace) -> int:
     spec = _decode_spec_arg(args)
-    _emit(encode_witt(sym_zeta(spec, args.power, args.precision, _budget())))
+    _emit(encode_witt, sym_zeta(spec, args.power, args.precision, _budget()))
     return 0
 
 
 def cmd_series(args: argparse.Namespace) -> int:
     spec = _decode_spec_arg(args)
-    _emit(encode_witt(zeta_generating_series(spec, args.outer, args.inner, _budget())))
+    _emit(encode_witt, zeta_generating_series(spec, args.outer, args.inner, _budget()))
     return 0
 
 
@@ -304,7 +306,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         vector = spec_zeta(_decode_spec_arg(args), args.precision, _budget())
     else:
         vector = decode_witt(_parse_json(args.witt, "Witt vector document", wire=True))
-    _emit(encode_rational(rational_reconstruct(vector, args.dmax)))
+    _emit(encode_rational, rational_reconstruct(vector, args.dmax))
     return 0
 
 
@@ -318,7 +320,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         status = "PASS" if entry["passed"] else "FAIL"
         sys.stderr.write(f"{entry['criterion']}: {status} - {entry['detail']}\n")
     passed = all(entry["passed"] for entry in results)
-    _emit({"passed": passed, "results": results})
+    _emit(dict, passed=passed, results=results)
     return 0 if passed else 1
 
 

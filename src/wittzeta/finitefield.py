@@ -1,4 +1,4 @@
-"""Finite field extensions, affine point enumeration and root counting.
+"""Finite field extensions, and affine point counting and enumeration by fibres.
 
 An element of F_{p^k} is an int code: the residue c_0 + c_1 z + ... +
 c_{k-1} z^(k-1) modulo a monic irreducible of degree k is the integer
@@ -11,12 +11,14 @@ The default modulus for every (p, k) is the lexicographically smallest
 monic irreducible, by ascending coefficient tuple, so field construction
 is deterministic across runs; for k >= 2 the search starts at c0 = 1, as
 every candidate with c0 = 0 is divisible by z.  Univariate polynomials
-over a field are lists of codes, and one toolkit serves the
-irreducibility test and the table builder (over F_p) and root counting.
+over a field are lists of codes for the irreducibility test, the table
+builder and the fibre walk, which counts and lists an affine system by the
+gcd g in y of its polynomials at each value of the other variables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -381,13 +383,13 @@ class MultiPoly:
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
     def evaluate(self, field: FiniteField, point: Sequence[int]) -> int:
-        acc = field.zero
+        add, mul, pow_, acc = field.add, field.mul, field.pow, field.zero
         for exps, c in self.terms.items():
-            term = field.from_int(c)
+            term = c % field.p
             for x, e in zip(point, exps):
                 if e:
-                    term = field.mul(term, field.pow(x, e))
-            acc = field.add(acc, term)
+                    term = mul(term, pow_(x, e))
+            acc = add(acc, term)
         return acc
 
     def __repr__(self) -> str:
@@ -522,67 +524,88 @@ def _charge_budget(required: int, budget: int) -> None:
                           required=required, budget=budget)
 
 
-def _check_system(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: int) -> None:
-    """Validate the arity and refuse a search space of more than budget points."""
+def _fibres(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: int) -> tuple:
+    """(v, arith, fibres), the walk shared by counting and enumeration; checks arity and budget (q^n) first.
+
+    The variable y = x_v of least degree stays symbolic: each polynomial is split once into
+    sum_j c_j * y^j (y^q = y on F_q, so j < q).  For each value rest of the other variables, in
+    product order, fibres yields rest and the monic gcd g over arith of the specialised polynomials,
+    [] if all vanish.  In one variable arith is F_p inside F_q, so no F_q table is built.
+    """
     if nvars < 1:
         raise ValueError("need at least one variable")
-    for f in polys:
-        if f.nvars != nvars:
-            raise ValueError("polynomial arity does not match the variable count")
+    if any(f.nvars != nvars for f in polys):
+        raise ValueError("polynomial arity does not match the variable count")
     _charge_budget(field.size**nvars, budget)
-
-
-def iter_affine_solutions(
-    polys: Sequence[MultiPoly],
-    nvars: int,
-    field: FiniteField,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> Iterator[tuple[int, ...]]:
-    """Yield every point of the affine vanishing locus, by full enumeration.
-
-    Refuses to start if the number of candidate tuples exceeds the budget.
-    """
-    _check_system(polys, nvars, field, budget)
-    for point in itertools.product(field.elements(), repeat=nvars):
-        if all(f.evaluate(field, point) == field.zero for f in polys):
-            yield point
-
-
-def count_affine_points(
-    polys: Sequence[MultiPoly],
-    nvars: int,
-    field: FiniteField,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> int:
-    """Number of solutions of the system over the field, by root counting.
-
-    The variable y of least degree stays symbolic: each polynomial is
-    sum_j c_j * y^j.  At each of the q^(n-1) values of the other variables
-    the specialised polynomials share the roots of their monic gcd g, of
-    which F_q holds deg gcd(g, y^q - y); if all vanish, every y counts.
-    The budget caps q^n, the size of the searched space.
-    """
-    _check_system(polys, nvars, field, budget)
     v = min(range(nvars), key=lambda i: max((e[i] for f in polys for e in f.terms), default=0))
     q, zero = field.size, MultiPoly(nvars)
     coeffs = []
     for f in polys:
         by_power: dict[int, MultiPoly] = {}
         for exps, c in f.terms.items():
-            j = min(exps[v], (exps[v] - 1) % (q - 1) + 1)  # y^q = y on F_q, so j < q
+            j = min(exps[v], (exps[v] - 1) % (q - 1) + 1)
             term = MultiPoly(nvars, {exps[:v] + (0,) + exps[v + 1:]: c % field.p})
             by_power[j] = by_power.get(j, zero) + term
         coeffs.append([by_power.get(j, zero) for j in range(max(by_power, default=-1) + 1)])
-    # in one variable the coefficients, and so gcd(g, y^q - y), lie in F_p[y]
     arith = field if nvars > 1 else FiniteField._prime(field.p)
-    total = 0
-    for rest in itertools.product(field.elements(), repeat=nvars - 1):
-        point = rest[:v] + (0,) + rest[v:]
-        g: list = []
-        for cs in coeffs:
-            g = _fgcd(arith, g, _ftrim(arith, [c.evaluate(arith, point) for c in cs]))
-        if not g:
-            total += q
-        elif len(g) > 1:
-            total += _common_roots(arith, g, _fpowmod(arith, [0, 1], q, g))
-    return total
+
+    def walk() -> Iterator[tuple[tuple[int, ...], list]]:
+        for rest in itertools.product(field.elements(), repeat=nvars - 1):
+            point, g = rest[:v] + (0,) + rest[v:], []
+            for cs in coeffs:
+                g = _fgcd(arith, g, _ftrim(arith, [c.evaluate(arith, point) for c in cs]))
+            yield rest, g
+
+    return v, arith, walk()
+
+
+def _fibre_size(field: FiniteField, arith: FiniteField, g: list) -> int:
+    """F_q-roots of a fibre's gcd g over arith, F_q = F_(|arith|^m): all of F_q if g = [], deg g if
+    deg g <= 1, deg gcd(g, y^q - y) if deg g >= 3.  y^2 + b y + c has one if b^2 - 4c (p odd) or b
+    (p = 2) is 0, else two if b^2 - 4c is a square in arith or m is even (p odd), or if the trace
+    Tr_(F_q/F_2)(c/b^2) = m Tr_(arith/F_2)(c/b^2) is 0 (p = 2, as for y^2 + y + u), else none.
+    """
+    if len(g) > 3:
+        return _common_roots(arith, g, _fpowmod(arith, [0, 1], field.size, g))
+    if len(g) < 3:
+        return len(g) - 1 if g else field.size
+    c, b = g[:2]
+    m = field.k // arith.k
+    if arith.p == 2:
+        if not b:
+            return 1
+        u = arith.mul(c, arith.inv(arith.mul(b, b)))
+        tr = functools.reduce(arith.add, (arith.pow(u, 2**i) for i in range(arith.k)))
+        return 0 if tr * m % 2 else 2
+    d = arith.sub(arith.mul(b, b), arith.mul(arith.from_int(4), c))
+    if not d:
+        return 1
+    return 2 if m % 2 == 0 or arith.pow(d, (arith.size - 1) // 2) == 1 else 0
+
+
+def iter_affine_solutions(polys: Sequence[MultiPoly], nvars: int, field: FiniteField,
+                          budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[tuple[int, ...]]:
+    """Yield every point of the affine vanishing locus, fibre by fibre (see ``_fibres``): in each,
+    the y in code order, all of F_q if g = [], else the roots of g by a Horner scan that stops at
+    the fibre's size (or deg g).  Refuses q^n past the budget."""
+    v, arith, fibres = _fibres(polys, nvars, field, budget)
+    add, mul = field.add, field.mul
+    for rest, g in fibres:
+        left = _fibre_size(field, arith, g) if len(g) <= 3 else len(g) - 1
+        for y in field.elements():
+            if not left:
+                break
+            acc = 0
+            for c in reversed(g):
+                acc = add(mul(acc, y), c)
+            if not acc:
+                left -= 1
+                yield rest[:v] + (y,) + rest[v:]
+
+
+def count_affine_points(polys: Sequence[MultiPoly], nvars: int, field: FiniteField,
+                        budget: int = DEFAULT_ENUM_BUDGET) -> int:
+    """Number of solutions of the system over the field: the fibre sizes of ``_fibres``
+    summed.  The budget caps q^n, the size of the searched space."""
+    _, arith, fibres = _fibres(polys, nvars, field, budget)
+    return sum(_fibre_size(field, arith, g) for _, g in fibres)

@@ -3,18 +3,18 @@
 Every spec answers "how many points over F_{q^r}" exactly: affine and
 projective spaces by closed formula, elliptic curves by their trace over
 the prime field followed by the trace recursion, products pointwise,
-explicit equation systems by root counting in one variable
-(budget-guarded), and user-supplied count tables verbatim.  Above p = 229
+equation systems by the fibres' root counts in finitefield (budget-guarded),
+and user-supplied count tables verbatim.  Above p = 229
 the trace comes from a baby-step giant-step search that stops only when one
 value of #E is left in the Hasse interval, so it is exact; Mestre's theorem
 makes it stop.
 
 The module also hosts the enumeration oracle for symmetric powers: group
-the points over F_{q^{rd}} (tuples of int field codes) into Frobenius
-orbits to count closed points of each degree d, then count multisets of
-closed points with total degree n.  That route never touches ghost
-coordinates or Newton inversion, so it can sit on the other side of an
-equality test from them.
+the points over F_{q^{rd}} (tuples of int field codes, in any order; an
+equation system lists them fibre by fibre) into Frobenius orbits to count
+closed points of each degree d, then count multisets of closed points
+with total degree n.  That route never touches ghost coordinates or
+Newton inversion, so it can sit on the other side of an equality test.
 """
 
 from __future__ import annotations

@@ -39,8 +39,9 @@ class WittVector:
     the underlying series, ``-`` inverts it, ``*`` is the Witt product
     characterized by [a]*[b] = [ab] on Teichmueller lifts.  Comparison of
     vectors with different precision is allowed and compares coefficients
-    up to the common precision.  Vectors from ``ghost_inverse``, ``with_ghost``
-    and their truncations carry ghost coordinates from birth, never set later.
+    up to the common precision.  Vectors from ``ghost_inverse``, ``with_ghost``,
+    their truncations, and sums and exact quotients (``WittRing.divide_exact``)
+    of carrying vectors carry ghost coordinates from birth, never set later.
     """
 
     __slots__ = ("series", "_ghost")
@@ -207,7 +208,9 @@ def witt_one(ring: Ring, prec: int) -> WittVector:
 
 
 def witt_add(p: WittVector, q: WittVector) -> WittVector:
-    return WittVector(p.series * q.series)
+    """The series product; born with the pointwise ghost sum when both summands carry ghosts."""
+    s = WittVector(p.series * q.series)
+    return s if p._ghost is None or q._ghost is None else s._born_with(p._ghost + q._ghost)
 
 
 def witt_neg(p: WittVector) -> WittVector:
@@ -345,11 +348,13 @@ class WittRing(Ring):
         if n <= 0:
             raise ValueError("divisor must be a positive integer")
         try:
-            return WittVector(x.series.nth_root(n))
+            y = WittVector(x.series.nth_root(n))
         except IntegralityError as exc:
             raise IntegralityError(
                 f"Witt vector is not divisible by {n} in W_{self.prec}", degree=exc.degree
             ) from exc
+        g, ring = x._ghost, self.coeff_ring  # the ghost map is additive: gh(x) = n*gh(y)
+        return y if g is None else y._born_with(GhostVector(ring, [ring.divide_exact(c, n) for c in g.coords]))
 
     def check(self, x: Element) -> WittVector:
         if not isinstance(x, WittVector):

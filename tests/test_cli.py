@@ -451,6 +451,18 @@ def test_huge_integer_powers_in_a_polynomial_exit_2_at_once(capsys):
     assert "coefficients past 4096 bits" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit to lift")
+def test_the_digit_limit_is_lifted_once_per_document(capsys, monkeypatch):
+    calls = []
+    real = sys.set_int_max_str_digits
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda n: (calls.append(n), real(n))[1])
+    limit = digit_limit()
+    zeta = run_json(capsys, "zeta", "--spec", '{"type":"affine","dim":2000,"q":2}', "-N", "40")
+    assert len(zeta["coeffs"]) == 40 and len(zeta["coeffs"][-1]) > 4300
+    assert calls == [0, limit]  # lifted and restored once for 40 coefficients
+    assert digit_limit() == limit
+
+
 def test_wire_integers_without_a_digit_limit(monkeypatch):
     # Python 3.10 builds before 3.10.7 have no limit to lift
     monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)

@@ -636,6 +636,13 @@ def test_one_variable_root_count_stays_in_the_prime_field():
     assert field._tables is None
 
 
+@pytest.mark.parametrize("text,expected", [("x^2 + x + 1", 2), ("x^2 + 1", 1), ("x + 1", 1)])
+def test_one_variable_closed_forms_stay_in_the_prime_field(text, expected):
+    field = FiniteField(2, 24)
+    assert count_affine_points([parse_polynomial(text, ("x",))], 1, field) == expected
+    assert field._tables is None
+
+
 def test_refused_enumeration_builds_no_table():
     field = FiniteField(2, 3)
     with pytest.raises(BudgetError):

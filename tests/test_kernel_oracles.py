@@ -31,6 +31,7 @@ own series, and a vector built from coefficients runs the recurrence on each
 ``ghost`` call, so no call leaves state behind.
 """
 
+import functools
 import math
 import operator
 from contextlib import contextmanager
@@ -446,6 +447,26 @@ def test_every_vector_is_born_with_its_true_ghost(case, data):
         made.append(sigma_witt(born, data.draw(st.integers(1, prec))))
     for v in made:
         assert ghost_is_the_recurrence(v)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@DIFFERENTIAL
+@given(data=st.data())
+def test_sums_and_exact_quotients_of_carrying_vectors_are_born_with_their_true_ghost(case, data):
+    """witt_add of two carrying vectors carries the pointwise sum, and divide_exact(x, n) of a
+    carrying x carries gh(x)/n; both equal a fresh ghost map of the result's series."""
+    ring, max_prec = CASES[case]
+    prec = data.draw(st.integers(1, max_prec))
+    p, q = (witt.ghost_inverse(witt.ghost(data.draw(witt_vectors(ring, prec)))) for _ in range(2))
+    n = data.draw(st.integers(1, 3))
+    total = witt.witt_add(p, q.truncate(data.draw(st.integers(1, prec))))
+    multiple = functools.reduce(witt.witt_add, [p] * n)
+    quotient = WittRing(ring, prec).divide_exact(multiple, n)
+    for v in (total, multiple, quotient):
+        assert v._ghost is not None
+        assert plain_ghost(v._ghost) == plain_ghost(witt.ghost(WittVector(v.series)))
+    assert quotient == p
+    assert witt.witt_add(p, WittVector(q.series))._ghost is None  # a summand without ghosts gives none
 
 
 def test_ghost_of_a_vector_with_no_birth_ghost_runs_the_recurrence_every_time(monkeypatch):
