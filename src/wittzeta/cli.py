@@ -84,10 +84,15 @@ def _int_to_wire(n: int) -> str:
 
 
 def _int_from_wire(value: Any, what: str) -> int:
-    """A JSON integer or decimal string of at most _WIRE_DIGITS digits, else SpecError (exit 2)."""
+    """A JSON integer or decimal string of at most _WIRE_DIGITS digits (under _read_wire's lift), else SpecError."""
     if isinstance(value, str) and len(value) > _WIRE_DIGITS and sum(map(str.isdigit, value)) > _WIRE_DIGITS:
         raise SpecError(f"{what} has more than {_WIRE_DIGITS} digits")
-    return _lifted(_as_int, value, what)
+    return _as_int(value, what)
+
+
+def _read_wire(decode: Callable[[Any], Any], text: str, what: str) -> Any:
+    """decode of the wire document text (inline or @path), the digit limit lifted once for all of it."""
+    return _lifted(lambda: decode(_parse_json(text, what, wire=True)))
 
 
 def _parse_json(text: str, what: str, wire: bool = False) -> Any:
@@ -229,7 +234,7 @@ def _witt_operands(args: argparse.Namespace) -> list[WittVector]:
             raise SpecError("precision must be at least 1")
         operands.append(teichmuller(a, args.precision, ZZ))
     for text in args.witt:
-        operands.append(decode_witt(_parse_json(text, "Witt vector document", wire=True)))
+        operands.append(_read_wire(decode_witt, text, "Witt vector document"))
     return operands
 
 
@@ -238,7 +243,7 @@ def cmd_witt(args: argparse.Namespace) -> int:
     if op == "unghost":
         if args.ghost is None:
             raise SpecError("unghost needs --ghost coordinates")
-        g = decode_ghost(_parse_json(args.ghost, "ghost coordinates", wire=True))
+        g = _read_wire(decode_ghost, args.ghost, "ghost coordinates")
         _emit(encode_witt, ghost_inverse(g))
         return 0
     operands = _witt_operands(args)
@@ -305,7 +310,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             raise SpecError("reconstruct --spec needs -N for the zeta precision")
         vector = spec_zeta(_decode_spec_arg(args), args.precision, _budget())
     else:
-        vector = decode_witt(_parse_json(args.witt, "Witt vector document", wire=True))
+        vector = _read_wire(decode_witt, args.witt, "Witt vector document")
     _emit(encode_rational, rational_reconstruct(vector, args.dmax))
     return 0
 

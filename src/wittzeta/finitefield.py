@@ -322,7 +322,7 @@ class FiniteField:
 class MultiPoly:
     """Sparse multivariate integer polynomial: exponent tuple -> coefficient."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_plan")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
         if nvars < 1:
@@ -335,6 +335,7 @@ class MultiPoly:
                 clean[tuple(exps)] = c
         self.nvars = nvars
         self.terms = clean
+        self._plan: tuple | None = None  # (field, terms, tables) of the last field evaluated over
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "MultiPoly":
@@ -383,14 +384,28 @@ class MultiPoly:
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
     def evaluate(self, field: FiniteField, point: Sequence[int]) -> int:
-        add, mul, pow_, acc = field.add, field.mul, field.pow, field.zero
-        for exps, c in self.terms.items():
-            term = c % field.p
-            for x, e in zip(point, exps):
-                if e:
-                    term = mul(term, pow_(x, e))
-            acc = add(acc, term)
-        return acc
+        """The value at a point, as a code.  Terms are prepared once per field (the plan slot keeps
+        the last): coefficient residue, or its log on F_q, and the positions of the nonzero exponents
+        e, reduced to (e - 1) mod (q - 1) + 1.  A call then does integer arithmetic only: residues and
+        pow(x, e, p) on F_p, log sums and Zech adds on F_q (a zero coordinate zeroes its term)."""
+        if self._plan is None or self._plan[0] is not field:
+            m, tables = field.size - 1, None if field.k == 1 else field._tables or field._build()
+            self._plan = (field, [(c % field.p if tables is None else tables[1][c % field.p],
+                                   [(i, (e - 1) % m + 1) for i, e in enumerate(exps) if e])
+                                  for exps, c in self.terms.items() if c % field.p], tables)
+        _, terms, tables = self._plan
+        if tables is None:
+            p = field.p
+            return sum(c * math.prod(pow(point[i], e, p) for i, e in xs) for c, xs in terms) % p
+        (exp, log, zech), m, acc = tables, field.size - 1, -1  # acc = log of the sum, -1 for zero
+        for lc, xs in terms:
+            for i, e in xs:
+                if (lx := log[point[i]]) < 0:
+                    break
+                lc += e * lx
+            else:  # acc + g^lc by the Zech table, n < 0 where the two cancel
+                acc = lc % m if acc < 0 else (acc + n) % m if (n := zech[(lc - acc) % m]) >= 0 else -1
+        return exp[acc] if acc >= 0 else 0
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.terms!r})"

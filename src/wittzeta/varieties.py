@@ -11,17 +11,19 @@ makes it stop.
 
 The module also hosts the enumeration oracle for symmetric powers: group
 the points over F_{q^{rd}} (tuples of int field codes, in any order; an
-equation system lists them fibre by fibre) into Frobenius orbits to count
-closed points of each degree d, then count multisets of closed points
-with total degree n.  That route never touches ghost coordinates or
-Newton inversion, so it can sit on the other side of an equality test.
+elliptic curve lists them by the parity of log f(x), an equation system
+fibre by fibre) into orbits of one Frobenius map of the field's codes to
+count closed points of each degree d, then count multisets of closed
+points with total degree n.  Both loops read the field's exp/log/Zech
+tables directly.  That route never touches ghost coordinates or Newton
+inversion, so it can sit on the other side of an equality test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union, get_args
+from typing import Iterator, Sequence, Union, get_args
 
 from .errors import InconsistentCountsError, PrecisionError, SpecError
 from .finitefield import (
@@ -336,25 +338,47 @@ def base_change(counts: PointCounts, r: int) -> PointCounts:
 
 
 def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int) -> list[Point]:
-    """All affine points of the curve over the field, via a square table."""
+    """All affine points of the curve over the field, in no fixed order.  q is odd, so over x lie (x, 0)
+    if f(x) = x (x^2 + a) + b is 0 and (x, +-g^(l/2)) if l = log_g f(x) is even, -1 being g^((q-1)/2);
+    f(x) is read in logs off the field's tables, or on residues over F_p with a dict of squares."""
     _charge_budget(2 * field.size, budget)
-    a, b = field.from_int(spec.a), field.from_int(spec.b)
-    roots: dict[int, list[int]] = {}
-    for y in field.elements():
-        roots.setdefault(field.mul(y, y), []).append(y)
-    return [(x, y) for x in field.elements()  # x^3 + a x + b = x (x^2 + a) + b
-            for y in roots.get(field.add(field.mul(x, field.add(field.mul(x, x), a)), b), ())]
+    p, m = field.p, field.size - 1
+    a, b = spec.a % p, spec.b % p
+    if field.k == 1:
+        root = {y * y % p: y for y in range(1, (p + 1) // 2)}
+        fs = ((x, (x * (x * x + a) + b) % p) for x in range(p))
+        return [(x, y) for x, f in fs for y in ((root[f], p - root[f]) if f in root else () if f else (0,))]
+    exp, log, zech = field._tables or field._build()
+
+    def plus(u: int, lc: int) -> int:  # log(g^u + g^lc), where -1 is the log of 0, as log[0] = -1
+        if u < 0 or lc < 0:
+            return max(u, lc)
+        n = zech[(u - lc) % m]
+        return lc + n if n >= 0 else -1
+
+    la, lb, points = log[a], log[b], []
+    for x in range(m + 1):
+        s = plus(2 * lx, la) if (lx := log[x]) >= 0 else -1  # log(x^2 + a), -1 also for x = 0
+        l = plus(lx + s, lb) if s >= 0 else lb  # log f(x), as f(x) = b where x (x^2 + a) = 0
+        if l < 0:
+            points.append((x, 0))
+        elif l % 2 == 0:
+            y = l % m // 2
+            points += ((x, exp[y]), (x, exp[y + m // 2]))
+    return points
 
 
 def _enumerations(
-    spec: VarietySpec, degrees: Iterable[int], budget: int
+    spec: VarietySpec, r: int, dmax: int, budget: int
 ) -> Iterator[tuple[FiniteField, list[Point], int]]:
-    """(F_{p^k}, affine points, points at infinity) for each k in degrees, each
-    field built and searched in turn; only elliptic (one rational point at
-    infinity) and equations specs enumerate, which is checked at once."""
+    """(F_{p^(rd)}, affine points, points at infinity) for d = 1..dmax, each field built and
+    searched in turn; r >= 1, dmax >= 0 and the spec kind (only elliptic, with one rational
+    point at infinity, and equations specs enumerate) are checked at once."""
+    if r < 1 or dmax < 0:
+        raise ValueError(f"enumeration needs r >= 1 and dmax >= 0, got r = {r}, dmax = {dmax}")
     if not isinstance(spec, (EllipticCurve, EquationsSpec)):
         raise SpecError("brute-force enumeration needs an elliptic or equations spec")
-    fields = (FiniteField(spec.p, k) for k in degrees)
+    fields = (FiniteField(spec.p, r * d) for d in range(1, dmax + 1))
     if isinstance(spec, EllipticCurve):
         return ((field, _elliptic_affine_points(spec, field, budget), 1) for field in fields)
     nvars = len(spec.variables)
@@ -365,7 +389,7 @@ def point_count_by_enumeration(
     spec: VarietySpec, r: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> int:
     """N_r by direct enumeration over F_{p^r}; elliptic includes infinity."""
-    [(_, points, infinity)] = _enumerations(spec, [r], budget)
+    [(_, points, infinity)] = _enumerations(spec, r, 1, budget)
     return len(points) + infinity
 
 
@@ -375,20 +399,24 @@ def closed_point_counts(
     """Closed points of X/F_{q^r} of each degree 1..dmax, by orbit counting.
 
     The degree-d count enumerates X(F_{q^{rd}}) and groups it into orbits
-    of the q^r-power Frobenius; the orbits of size exactly d are the
-    closed points of degree d.  Points at infinity are rational, so they
-    are orbits of size 1.
+    of the q^r-power Frobenius (the identity for d = 1), read off one map of
+    codes frob[c] = g^(log c * q^r); the orbits of size exactly d are the
+    closed points of degree d.  Points at infinity are orbits of size 1.
     """
-    searches = _enumerations(spec, range(r, r * dmax + 1, r), budget)
-    frob_exp = spec.q**r
     out = []
-    for d, (field, points, infinity) in enumerate(searches, start=1):
+    for d, (field, points, infinity) in enumerate(_enumerations(spec, r, dmax, budget), start=1):
+        if d == 1:
+            out.append(len(points) + infinity)
+            continue
+        exp, log, _ = field._tables or field._build()
+        e, m = spec.q**r, field.size - 1
+        frob = [0] + [exp[lc * e % m] for lc in log[1:]]
         seen: set[Point] = set()
-        orbits = infinity if d == 1 else 0
+        orbits = 0
         for pt in points:
             if pt not in seen:
                 orbit = [pt]
-                while (cur := tuple(field.pow(c, frob_exp) for c in orbit[-1])) != pt:
+                while (cur := tuple(map(frob.__getitem__, orbit[-1]))) != pt:
                     orbit.append(cur)
                 seen.update(orbit)
                 orbits += len(orbit) == d
@@ -408,8 +436,6 @@ def brute_sym_count(
     """
     if n < 0:
         raise ValueError("symmetric power index must be nonnegative")
-    if n == 0:
-        return 1
     ways = [1] + [0] * n  # ways[m]: multisets of total degree m from the degrees seen so far
     for d, c in enumerate(closed_point_counts(spec, r, n, budget), start=1):
         ways = [sum(math.comb(c + k - 1, k) * ways[m - d * k] for k in range(m // d + 1)) if c else ways[m]

@@ -463,6 +463,19 @@ def test_the_digit_limit_is_lifted_once_per_document(capsys, monkeypatch):
     assert digit_limit() == limit
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit to lift")
+def test_the_digit_limit_is_lifted_once_per_input_document(capsys, monkeypatch):
+    calls = []
+    real = sys.set_int_max_str_digits
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda n: (calls.append(n), real(n))[1])
+    limit = digit_limit()
+    doc = json.dumps({"precision": 100, "coeffs": [str(c) for c in range(1, 100)] + ["7" * 5000]})
+    neg = run_json(capsys, "witt", "neg", "--witt", doc)
+    assert len(neg["coeffs"]) == 100 and len(neg["coeffs"][-1]) > 4300
+    assert calls == [0, limit, 0, limit]  # once to read 100 coefficients, once to write them
+    assert digit_limit() == limit
+
+
 def test_wire_integers_without_a_digit_limit(monkeypatch):
     # Python 3.10 builds before 3.10.7 have no limit to lift
     monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)

@@ -1,11 +1,12 @@
-"""Differential tests: the fibre walk against evaluation at every point.
+"""Differential tests: the fast enumeration routes against the routes they replaced.
 
 ``count_affine_points`` and ``iter_affine_solutions`` share one walk: one
 variable y stays symbolic and, for every value of the others, the fibre is
 read off the monic gcd g of the specialised polynomials (its size in closed
 form up to degree 2, as deg gcd(g, y^q - y) above; its points by a Horner
 scan of g).  The oracle is the enumerator the walk replaced:
-``points_by_evaluation`` evaluates every polynomial at all q^n points.
+``points_by_evaluation`` evaluates every polynomial at all q^n points, term
+by term through ``FiniteField`` method calls (``evaluate_by_terms``).
 
 The random systems have 0-3 polynomials over F_{p^k}, p in {2, 3, 5, 7},
 k <= 3, with 1-3 variables (q^n <= 2,401): sparse polynomials with
@@ -13,13 +14,20 @@ exponents above q and coefficients that are multiples of p, and products
 of linear forms, which have many and repeated roots.  The fibre sizes of
 degree 1 and 2 are checked on their own against a scan over F_q, with the
 gcd over F_q itself (m = 1) or over F_p inside F_q = F_(p^k) (m = k).
-"""
 
+The routes that work on residues and on the field's exp/log/Zech tables
+are checked against the ``FiniteField`` method-call routes they replaced:
+``MultiPoly.evaluate`` (prepared once per field) against
+``evaluate_by_terms``; the elliptic point list (log parity) against a
+square table of q ``mul`` calls; ``closed_point_counts`` (one Frobenius map
+per field) against an orbit walk by ``field.pow`` over points found by
+those two oracles.
+"""
 import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wittzeta.finitefield import (
     FiniteField,
@@ -29,6 +37,7 @@ from wittzeta.finitefield import (
     iter_affine_solutions,
     parse_polynomial,
 )
+from wittzeta.varieties import EllipticCurve, EquationsSpec, _elliptic_affine_points, closed_point_counts
 
 MAX_POINTS = 2401
 
@@ -38,10 +47,54 @@ def field_of(p: int, k: int) -> FiniteField:
     return FiniteField(p, k)
 
 
+def evaluate_by_terms(f, field, point):
+    """f at the point by FiniteField method calls: field.pow and field.mul per variable of each term."""
+    acc = field.zero
+    for exps, c in f.terms.items():
+        term = c % field.p
+        for x, e in zip(point, exps):
+            if e:
+                term = field.mul(term, field.pow(x, e))
+        acc = field.add(acc, term)
+    return acc
+
+
 def points_by_evaluation(polys, nvars, field):
     """Every common zero, in product order, by evaluating each polynomial at each of the q^n points."""
     return [point for point in itertools.product(field.elements(), repeat=nvars)
-            if all(f.evaluate(field, point) == field.zero for f in polys)]
+            if all(evaluate_by_terms(f, field, point) == field.zero for f in polys)]
+
+
+def elliptic_points_by_square_table(spec, field):
+    """The affine points of y^2 = x (x^2 + a) + b, by a table of y*y over every y in the field."""
+    a, b = field.from_int(spec.a), field.from_int(spec.b)
+    roots = {}
+    for y in field.elements():
+        roots.setdefault(field.mul(y, y), []).append(y)
+    return [(x, y) for x in field.elements()
+            for y in roots.get(field.add(field.mul(x, field.add(field.mul(x, x), a)), b), ())]
+
+
+def closed_points_by_pow_orbits(spec, r, dmax):
+    """Closed points of degree 1..dmax: the points over F_(q^(rd)) grouped into orbits of
+    x -> field.pow(x, q^r), coordinate by coordinate."""
+    out = []
+    for d in range(1, dmax + 1):
+        field = field_of(spec.p, r * d)
+        if isinstance(spec, EllipticCurve):
+            points, infinity = elliptic_points_by_square_table(spec, field), 1
+        else:
+            points, infinity = points_by_evaluation(spec.polys, len(spec.variables), field), 0
+        seen, orbits = set(), infinity if d == 1 else 0
+        for pt in points:
+            if pt not in seen:
+                orbit = [pt]
+                while (cur := tuple(field.pow(c, spec.q**r) for c in orbit[-1])) != pt:
+                    orbit.append(cur)
+                seen.update(orbit)
+                orbits += len(orbit) == d
+        out.append(orbits)
+    return tuple(out)
 
 
 @st.composite
@@ -185,3 +238,92 @@ def test_fibre_size_parity_rule_over_the_prime_field(p, k):
         d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
         g = [p - d, 0, 1]
     assert _fibre_size(field, fp, g) == (2 if k % 2 == 0 else 0)
+
+
+# --- the table routes against the FiniteField method-call routes ---
+
+
+@st.composite
+def curves(draw, primes, max_k):
+    """(spec, field): a nonsingular y^2 = x^3 + a x + b over F_p, often with a = 0, b = 0 or a root
+    x0 of x^3 + a x + b in F_p, and the field F_(p^k)."""
+    p = draw(st.sampled_from(primes))
+    a = draw(st.one_of(st.just(0), st.integers(-2 * p, 2 * p)))
+    shape = draw(st.sampled_from(["any", "b = 0", "root"]))
+    if shape == "any":
+        b = draw(st.integers(-2 * p, 2 * p))
+    elif shape == "b = 0":
+        b = p * draw(st.integers(-1, 1))
+    else:
+        x0 = draw(st.integers(0, p - 1))
+        b = -(x0**3 + a * x0)
+    assume((4 * a**3 + 27 * b**2) % p)
+    return EllipticCurve(p, a, b), field_of(p, draw(st.integers(1, max_k)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=curves([5, 7, 11, 13], 3))
+def test_elliptic_points_match_the_square_table(case):
+    spec, field = case
+    assert sorted(_elliptic_affine_points(spec, field, 10**6)) == sorted(elliptic_points_by_square_table(spec, field))
+
+
+# a = 0 (also as 5), b = 0 (a root at x = 0), a root at x = 1 (1 + 1 + 3), and no root in F_5
+@pytest.mark.parametrize("a,b", [(0, 1), (5, 3), (1, 0), (3, 0), (1, 3), (1, 1), (2, 1), (4, 2)])
+def test_elliptic_points_over_f625_match_the_square_table(a, b):
+    spec, field = EllipticCurve(5, a, b), field_of(5, 4)
+    points = _elliptic_affine_points(spec, field, 10**6)
+    assert sorted(points) == sorted(elliptic_points_by_square_table(spec, field))
+    assert len(points) == len(set(points))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(case=curves([5, 7], 1), r=st.integers(1, 2), dmax=st.integers(0, 3))
+def test_closed_point_counts_of_curves_match_the_pow_orbit_walk(case, r, dmax):
+    spec, _ = case
+    dmax = min(dmax, 2) if r == 2 else dmax  # at most F_(7^4)
+    assert closed_point_counts(spec, r, dmax) == closed_points_by_pow_orbits(spec, r, dmax)
+
+
+@st.composite
+def equation_specs(draw):
+    """(spec, r, dmax) with q^(r dmax n) <= 729 for n variables over F_p, p in {2, 3}."""
+    p = draw(st.sampled_from([2, 3]))
+    nvars = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 2))
+    dmax = draw(st.integers(0, max(d for d in (1, 2, 3) if p ** (r * d * nvars) <= 729)))
+    poly = st.one_of(sparse_polys(nvars, p**r, p), linear_products(nvars, p))
+    polys = draw(st.lists(poly, max_size=2))
+    return EquationsSpec(p, tuple("xy"[:nvars]), tuple(polys)), r, dmax
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(case=equation_specs())
+def test_closed_point_counts_of_equations_match_the_pow_orbit_walk(case):
+    spec, r, dmax = case
+    assert closed_point_counts(spec, r, dmax) == closed_points_by_pow_orbits(spec, r, dmax)
+
+
+@st.composite
+def evaluations(draw):
+    """(f, field, points): f with exponents 0..3, up to q + 2 and near 10^9, coefficients often
+    multiples of p, and points of field^n with many zero coordinates."""
+    p, k = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (3, 3),
+                                 (5, 2), (7, 2), (5, 4)]))
+    field, nvars = field_of(p, k), draw(st.integers(1, 3))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, field.size + 2), st.integers(10**9 - 5, 10**9 + 5))
+    coeff = st.builds(lambda c, m: c * m, st.integers(-10**6, 10**6), st.sampled_from([1, 1, p]))
+    f = MultiPoly(nvars, draw(st.dictionaries(st.tuples(*[exponent] * nvars), coeff, max_size=6)))
+    coord = st.one_of(st.just(0), st.integers(0, field.size - 1))
+    return f, field, draw(st.lists(st.tuples(*[coord] * nvars), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=evaluations())
+def test_evaluate_matches_the_per_term_route(case):
+    f, field, points = case
+    prime = field_of(field.p, 1)
+    for point in points:  # alternating fields re-prepares the plan each time
+        assert f.evaluate(field, point) == evaluate_by_terms(f, field, point)
+        small = tuple(c % field.p for c in point)
+        assert f.evaluate(prime, small) == evaluate_by_terms(f, prime, small)

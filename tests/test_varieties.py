@@ -309,6 +309,29 @@ def test_closed_point_counts_refuses_a_closed_form_spec_even_with_no_degrees(spe
         closed_point_counts(spec, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: closed_point_counts(E, -1, 2),
+        lambda: closed_point_counts(E, 1, -1),
+        lambda: closed_point_counts(E, 0, 2),
+        lambda: closed_point_counts(CUBIC, 0, 0),
+        lambda: brute_sym_count(E, 2, 0),
+        lambda: brute_sym_count(E, 0, 0),
+        lambda: point_count_by_enumeration(E, 0),
+        lambda: point_count_by_enumeration(CUBIC, -3),
+    ],
+    ids=["r=-1", "dmax=-1", "r=0", "equations-r=0", "sym-r=0", "sym0-r=0", "enumeration-r=0", "equations-enumeration-r=-3"],
+)
+def test_enumeration_arguments_are_checked_before_any_field_is_built(call, monkeypatch):
+    def no_field(*args):
+        raise AssertionError("built a field for arguments that cannot be enumerated")
+
+    monkeypatch.setattr(varieties, "FiniteField", no_field)
+    with pytest.raises(ValueError, match="enumeration needs r >= 1 and dmax >= 0"):
+        call()
+
+
 def test_closed_point_counts_with_no_degrees_is_empty():
     assert closed_point_counts(E, 1, 0) == ()
     assert closed_point_counts(CUBIC, 2, 0) == ()
