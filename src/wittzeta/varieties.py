@@ -1,13 +1,14 @@
 """Variety descriptions over finite fields and exact point counting.
 
 Every spec answers "how many points over F_{q^r}" exactly: affine and
-projective spaces by closed formula, elliptic curves by their trace over
-the prime field followed by the trace recursion, products pointwise,
-equation systems by the fibres' root counts in finitefield (budget-guarded),
-and user-supplied count tables verbatim.  Above p = 229
-the trace comes from a baby-step giant-step search that stops only when one
-value of #E is left in the Hasse interval, so it is exact; Mestre's theorem
-makes it stop.
+projective spaces and elliptic curves from their one ``closed_form``
+num(t) / prod_{lo<=i<=hi} (1 - q^i t), products pointwise, equation systems
+by the fibres' root counts in finitefield (budget-guarded), and
+user-supplied count tables verbatim.  An elliptic num needs the trace over
+F_p: up to p = 229 from the affine points listed over F_p, above it from a
+baby-step giant-step search on the twists of E by the values f(x), which
+stops only when one value of #E is left in the Hasse interval, so it is
+exact; Mestre's theorem makes it stop.
 
 The module also hosts the enumeration oracle for symmetric powers: group
 the points over F_{q^{rd}} (tuples of int field codes, in any order; an
@@ -195,18 +196,6 @@ class PointCounts:
         return self.counts[r - 1]
 
 
-def _sqrt_mod(n: int, p: int, z: int) -> int:
-    """A square root of the nonzero square n mod the odd prime p (Tonelli-Shanks; z a non-residue)."""
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s with q odd
-    q = (p - 1) >> s
-    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 def _ec_add(u: Point | None, v: Point | None, a: int, p: int) -> Point | None:
     """u + v on y^2 = x^3 + a*x + b over F_p, in affine coordinates; None is the point at infinity."""
     if u is None or v is None:
@@ -249,73 +238,78 @@ def _annihilators(pt: Point, a: int, p: int, lo: int, hi: int, m: int) -> set[in
 def elliptic_trace(spec: EllipticCurve, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """The Frobenius trace a = p + 1 - N_1, exactly.
 
-    For p <= 229, one Legendre-symbol count over F_p, charged 2p.  Above it,
+    For p <= 229, p minus the number of affine points that
+    ``_elliptic_affine_points`` lists over F_p, charged 2p.  Above it,
     Shanks-Mestre baby-step giant-step (Cohen, GTM 138, section 7.4; Schoof
     1995, section 3), charged the group operations of one point's search.
-    x = 0, 1, ... gives a point P, y != 0, on E when f(x) = x^3 + a*x + b is a
-    square and otherwise on the twist E' by the least non-residue d, and
-    #E + #E' = 2p + 2.  Each P of order above 2m + 1 yields every M in the
-    Hasse interval with [M]P = O (2p + 2 - M on E'), and one candidate set
-    keeps their intersection, which always holds #E.  The trace is returned
-    only when one candidate is left, so it cannot be wrong.  The search ends
-    by Mestre's theorem: for p > 229, E or E' has a point whose order has a
-    single multiple in the interval.
+    For x = 0, 1, ... with f = f(x) = x^3 + a*x + b != 0, P = (f*x, f^2) lies on
+    y^2 = x^3 + a*f^2*x + b*f^3, the twist of E by f: isomorphic to E when f
+    is a square, else to the quadratic twist E', and #E + #E' = 2p + 2.  Each P of
+    order above 2m + 1 yields every M in the Hasse interval with [M]P = O
+    (2p + 2 - M on E'), and one candidate set keeps their intersection, which
+    always holds #E.  The trace is returned only when one candidate is left,
+    so it cannot be wrong.  The search ends by Mestre's theorem: for p > 229,
+    E or E' has a point whose order has a single multiple in the interval.
     """
     p = spec.p
-    a, b = spec.a % p, spec.b % p
     if p <= 229:
-        _charge_budget(2 * p, budget)
-        cnt = bytearray(p)  # cnt[r] = #{y : y^2 = r} = 1 + (r | p)
-        for y in range(1, (p + 1) // 2):
-            cnt[y * y % p] = 2
-        cnt[0] = 1
-        return p - sum(cnt[(x * (x * x + a) + b) % p] for x in range(p))
+        return p - len(_elliptic_affine_points(spec, FiniteField._prime(p), budget))
+    a, b = spec.a % p, spec.b % p
     w = math.isqrt(4 * p)  # #E lies in [lo, hi] = p + 1 -+ floor(2 sqrt p), and 4p is no square
     lo, hi, m = p + 1 - w, p + 1 + w, math.isqrt(w)
     # m baby steps, one giant step per window of 2m + 1, three scalar multiplications
     _charge_budget(m + len(range(lo + m, hi + m + 1, 2 * m + 1)) + 6 * hi.bit_length(), budget)
-    d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
     candidates: set[int] | None = None
     for x in range(p):
         f = (x * (x * x + a) + b) % p
         if f == 0:
             continue
-        c = 1 if pow(f, (p - 1) // 2, p) == 1 else d  # (cx, c sqrt(cf)) lies on y^2 = x^3 + ac^2 x + bc^3
-        found = _annihilators((c * x % p, c * _sqrt_mod(c * f % p, p, d) % p), a * c * c % p, p, lo, hi, m)
-        if found is not None:
-            found = found if c == 1 else {2 * p + 2 - n for n in found}  # on E', #E = 2p + 2 - #E'
+        found = _annihilators((f * x % p, f * f % p), a * f * f % p, p, lo, hi, m)
+        if found is not None:  # on E' (f no square), #E = 2p + 2 - #E'
+            found = found if pow(f, (p - 1) // 2, p) == 1 else {2 * p + 2 - n for n in found}
             candidates = found if candidates is None else candidates & found
             if len(candidates) == 1:
                 return p + 1 - candidates.pop()
     raise AssertionError("Mestre's theorem bounds the search for p > 229")
 
 
-def _elliptic_counts(spec: EllipticCurve, rmax: int, budget: int) -> tuple[int, ...]:
-    """N_r = q^r + 1 - s_r with s_r = a*s_{r-1} - q*s_{r-2}, s_0 = 2."""
-    q, a = spec.q, elliptic_trace(spec, budget)
-    s_prev, s = 2, a
-    counts = []
-    for r in range(1, rmax + 1):
-        if s * s > 4 * q**r:
-            raise InconsistentCountsError(
-                f"Weil bound violated at r={r}: |trace| exceeds 2*q^(r/2)"
-            )
-        counts.append(q**r + 1 - s)
-        s_prev, s = s, a * s - q * s_prev
-    return tuple(counts)
+def closed_form(spec: VarietySpec, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[tuple[int, ...], int, int] | None:
+    """(num, lo, hi) with Z(X, t) = num(t) / prod_{lo<=i<=hi} (1 - q^i t) for A^d, P^d and E, else None.
+
+    A^d is 1/(1 - q^d t), P^d is 1/((1 - t)...(1 - q^d t)), and E is
+    (1 - a*t + p*t^2)/((1 - t)(1 - p*t)) with a from ``elliptic_trace``."""
+    if isinstance(spec, AffineSpace):
+        return (1,), spec.dim, spec.dim
+    if isinstance(spec, ProjectiveSpace):
+        return (1,), 0, spec.dim
+    if isinstance(spec, EllipticCurve):
+        return (1, -elliptic_trace(spec, budget), spec.p), 0, 1
+    return None
 
 
 def point_counts(spec: VarietySpec, rmax: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointCounts:
-    """N_1..N_rmax for the given variety, exactly."""
+    """N_1..N_rmax for the given variety, exactly.
+
+    A closed form gives N_r = sum_{lo<=i<=hi} q^(ir) - s_r, s_r the power sum of the
+    reciprocal roots of num = 1 + c_1 t + c_2 t^2 (s_0 = deg num, s_1 = -c_1,
+    s_r = -c_1 s_(r-1) - c_2 s_(r-2)), checked against the Weil bound
+    s_r^2 <= (deg num)^2 q^r at every r."""
     if rmax < 1:
         raise ValueError("count range must be at least 1")
-    rs = range(1, rmax + 1)
-    if isinstance(spec, AffineSpace):
-        counts = tuple(spec.q ** (spec.dim * r) for r in rs)
-    elif isinstance(spec, ProjectiveSpace):
-        counts = tuple(sum(spec.q ** (i * r) for i in range(spec.dim + 1)) for r in rs)
-    elif isinstance(spec, EllipticCurve):
-        counts = _elliptic_counts(spec, rmax, budget)
+    if (form := closed_form(spec, budget)) is not None:
+        num, lo, hi = form
+        c1, c2 = (num + (0, 0))[1:3]
+        deg, q, qr, counts = len(num) - 1, spec.q, 1, []
+        s_prev, s = deg, -c1
+        for r in range(1, rmax + 1):
+            qr *= q
+            if s * s > deg * deg * qr:
+                raise InconsistentCountsError(f"Weil bound violated at r={r}: |trace| exceeds {deg}*q^(r/2)")
+            total = 0
+            for _ in range(hi - lo + 1):
+                total = total * qr + 1
+            counts.append(total * qr**lo - s)
+            s_prev, s = s, -c1 * s - c2 * s_prev
     elif isinstance(spec, ProductSpec):
         counts = tuple(map(math.prod, zip(*(point_counts(f, rmax, budget).counts for f in spec.factors))))
     elif isinstance(spec, CountsSpec):
@@ -323,7 +317,7 @@ def point_counts(spec: VarietySpec, rmax: int, budget: int = DEFAULT_ENUM_BUDGET
         counts = spec.counts[:rmax]
     elif isinstance(spec, EquationsSpec):
         counts = tuple(count_affine_points(spec.polys, len(spec.variables), FiniteField(spec.p, r), budget)
-                       for r in rs)
+                       for r in range(1, rmax + 1))
     else:
         raise SpecError(f"not a variety spec: {spec!r}")
     return PointCounts(spec.q, counts)

@@ -11,8 +11,9 @@ first runs the one test of honesty, ``closed_point_degree_counts``: the
 closed-point counts a_d must be nonnegative integers.  Their integrality
 is the ghost-image criterion, so a table that passes inverts integrally.
 ``spec_zeta`` needs no table for affine and projective spaces and elliptic
-curves: it expands num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t) in O(N) steps, and
-``rational_reconstruct`` recovers num/den by Berlekamp-Massey over ZZ.
+curves: it expands their ``varieties.closed_form``, num(t) * prod_{lo<=i<=hi}
+1/(1 - q^i t), in O(N) steps, and ``rational_reconstruct`` recovers num/den
+by Berlekamp-Massey over ZZ.
 
 Symmetric powers ride on the same recursion: the r-th count of Sym^n X is
 the degree-n series coefficient obtained by ghost-inverting the subsampled
@@ -32,7 +33,7 @@ from .errors import InconsistentCountsError, PrecisionError, ReconstructionError
 from .finitefield import DEFAULT_ENUM_BUDGET
 from .rings import IntPolynomial, TruncatedSeries, ZZ
 from .sigma import sigma_witt
-from .varieties import AffineSpace, EllipticCurve, PointCounts, ProjectiveSpace, VarietySpec, point_counts
+from .varieties import PointCounts, VarietySpec, closed_form, point_counts
 from .witt import GhostVector, WittVector, ghost_inverse, witt_one
 
 
@@ -45,23 +46,17 @@ def zeta_from_counts(counts: PointCounts, prec: int) -> WittVector:
 
 
 def spec_zeta(spec: VarietySpec, prec: int, budget: int = DEFAULT_ENUM_BUDGET) -> WittVector:
-    """Z(X, t) to precision N; closed form for A^d, P^d and E, else ``zeta_from_counts``.
+    """Z(X, t) to precision N: the expansion of ``closed_form`` where there is one, else ``zeta_from_counts``.
 
     Z = num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t).  One or two factors (A^d, P^0, P^1, E)
     go into num one at a time, h_k += q^i h_(k-1), with no division; P^d, d >= 2, has
     [d+k choose k]_q = g_k = g_(k-1) (q^(d+k) - 1) / (q^k - 1) at t^k (lo = 0).
-    E's num = 1 - a*t + p*t^2 takes a = p + 1 - N_1 from ``point_counts``,
-    which charges the budget and checks the Hasse bound."""
+    ``closed_form`` charges the budget for E's trace."""
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    if isinstance(spec, AffineSpace):
-        lo, hi, num = spec.dim, spec.dim, (1,)
-    elif isinstance(spec, ProjectiveSpace):
-        lo, hi, num = 0, spec.dim, (1,)
-    elif isinstance(spec, EllipticCurve):
-        lo, hi, num = 0, 1, (1, point_counts(spec, 1, budget).counts[0] - spec.p - 1, spec.p)
-    else:
+    if (form := closed_form(spec, budget)) is None:
         return zeta_from_counts(point_counts(spec, prec, budget), prec)
+    num, lo, hi = form
     q, h = spec.q, (list(num) + [0] * prec)[: prec + 1]
     if hi - lo <= 1:
         for c in (q**i for i in range(lo, hi + 1)):

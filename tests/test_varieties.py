@@ -1,5 +1,6 @@
 """Tests for variety specs, point counting and the enumeration oracles."""
 
+import math
 import random
 
 import pytest
@@ -24,6 +25,8 @@ from wittzeta.varieties import (
     point_counts,
     spec_field_size,
 )
+from wittzeta.witt import WittVector, ghost
+from wittzeta.zeta import spec_zeta
 
 E = EllipticCurve(5, 1, 0)
 CUBIC = EquationsSpec.from_strings(2, ("x", "y"), ("y^2 + y - x^3 - x",))
@@ -176,10 +179,16 @@ def test_bsgs_trace_at_every_prime_from_230_to_400(monkeypatch):
             spec = EllipticCurve(p, a, b)
             trace = elliptic_trace(spec)
             assert trace == elliptic_trace_by_square_table(spec), spec
-            # replay the candidate intersection: it first becomes a single value at the last search
+            # replay the candidate intersection: it first becomes a single value at the last search.
+            # The i-th search runs on the twist by the i-th nonzero f(x), so the Legendre symbol of
+            # that f says whether it ran on E or on E'.
             candidates, twisted = None, []
+            fs = [(x, f) for x in range(p) if (f := (x**3 + a * x + b) % p)]
             for i, ((x, y), curve_a, found) in enumerate(searches):
-                on_e = curve_a == a % p and (y * y - x**3 - a * x - b) % p == 0
+                fx, f = fs[i]
+                assert ((x, y), curve_a) == ((f * fx % p, f * f % p), a * f * f % p), spec
+                assert (y * y - x**3 - curve_a * x - b * f**3) % p == 0, spec
+                on_e = pow(f, (p - 1) // 2, p) == 1
                 twisted.append(not on_e)
                 if found is not None:
                     found = found if on_e else {2 * p + 2 - n for n in found}
@@ -191,6 +200,64 @@ def test_bsgs_trace_at_every_prime_from_230_to_400(monkeypatch):
             seen["E decides"] += not twisted[-1]
             seen["E' decides after E points"] += twisted[-1] and not all(twisted)
     assert all(seen.values()), seen
+
+
+def elliptic_trace_by_legendre_table(spec: EllipticCurve) -> int:
+    """Oracle: a = p - sum_x (1 + (f(x) | p)), read off a table of #{y : y^2 = r}."""
+    p = spec.p
+    cnt = bytearray(p)  # cnt[r] = #{y : y^2 = r} = 1 + (r | p)
+    for y in range(1, (p + 1) // 2):
+        cnt[y * y % p] = 2
+    cnt[0] = 1
+    return p - sum(cnt[(x * (x * x + spec.a) + spec.b) % p] for x in range(p))
+
+
+def elliptic_counts_by_trace_recursion(spec: EllipticCurve, rmax: int) -> tuple[int, ...]:
+    """Oracle: N_r = q^r + 1 - s_r with s_r = a*s_{r-1} - q*s_{r-2}, s_0 = 2, s_1 = a."""
+    q, a = spec.q, elliptic_trace_by_legendre_table(spec)
+    s_prev, s, counts = 2, a, []
+    for r in range(1, rmax + 1):
+        counts.append(q**r + 1 - s)
+        s_prev, s = s, a * s - q * s_prev
+    return tuple(counts)
+
+
+def counts_by_oracles(spec, rmax: int) -> tuple[int, ...]:
+    """q^(dr) for A^d, sum_{i<=d} q^(ir) for P^d, the trace recursion for E, products pointwise."""
+    rs = range(1, rmax + 1)
+    if isinstance(spec, AffineSpace):
+        return tuple(spec.q ** (spec.dim * r) for r in rs)
+    if isinstance(spec, ProjectiveSpace):
+        return tuple(sum(spec.q ** (i * r) for i in range(spec.dim + 1)) for r in rs)
+    if isinstance(spec, EllipticCurve):
+        return elliptic_counts_by_trace_recursion(spec, rmax)
+    return tuple(map(math.prod, zip(*(counts_by_oracles(f, rmax) for f in spec.factors))))
+
+
+@st.composite
+def closed_form_products(draw):
+    """A^d, P^d (d <= 6) and E over F_p, p < 2 * 10^4 on either side of 229, alone or in products of up to 3."""
+    start = draw(st.one_of(st.integers(5, 229), st.integers(230, 19997)))
+    p = next(n for n in range(start, 2 * start) if is_prime(n))  # 229 and 19997 are prime
+    kinds = draw(st.lists(st.sampled_from(["affine", "projective", "elliptic"]), min_size=1, max_size=3))
+    q = p if "elliptic" in kinds else p ** draw(st.integers(1, 2))
+    factors = []
+    for kind in kinds:
+        if kind == "elliptic":
+            a, b0 = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+            b = next(b for b in range(b0, b0 + p) if (4 * a**3 + 27 * b**2) % p)
+            factors.append(EllipticCurve(p, a, b % p))
+        else:
+            factors.append((AffineSpace if kind == "affine" else ProjectiveSpace)(draw(st.integers(0, 6)), q))
+    return factors[0] if len(factors) == 1 else ProductSpec(tuple(factors))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(spec=closed_form_products(), rmax=st.integers(1, 8))
+def test_closed_form_counts_and_zeta_match_the_oracles(spec, rmax):
+    expected = counts_by_oracles(spec, rmax)
+    assert point_counts(spec, rmax).counts == expected
+    assert ghost(WittVector(spec_zeta(spec, rmax).series)).coords == expected  # a fresh copy carries no ghost
 
 
 def test_product_counts_multiply_pointwise():
@@ -244,6 +311,12 @@ def test_weil_bound_validator_never_fires_on_nonsingular_curves():
                     continue
                 counts = point_counts(EllipticCurve(p, a, b), 6)
                 assert all(n >= 0 for n in counts.counts)
+
+
+def test_weil_bound_validator_fires_on_a_trace_past_the_hasse_bound(monkeypatch):
+    monkeypatch.setattr(varieties, "elliptic_trace", lambda spec, budget: 5)  # 5^2 > 4 * 5
+    with pytest.raises(InconsistentCountsError, match=r"Weil bound violated at r=1: \|trace\| exceeds 2\*q\^\(r/2\)"):
+        point_counts(E, 3)
 
 
 # --- base change ---
