@@ -5,7 +5,8 @@ c_{k-1} z^(k-1) modulo a monic irreducible of degree k is the integer
 c_0 + c_1 p + ... + c_{k-1} p^(k-1) in 0..q-1, so ``elements()`` is
 ``range(q)``.  Prime fields compute on residues; an extension field
 multiplies, inverts, raises to powers (Frobenius included) and adds by
-exp/log/Zech tables, built on its first such operation in O(q) steps.
+exp/log/Zech tables, built in O(q) steps on its first such operation or read
+from a process-wide memo of at most ``_TABLE_CAP`` elements, oldest use out first.
 
 The default modulus for every (p, k) is the lexicographically smallest
 monic irreducible, by ascending coefficient tuple, so field construction
@@ -31,6 +32,8 @@ from .rings import IntPolynomial, binary_power
 DEFAULT_ENUM_BUDGET = 1 << 24
 _PARSE_PRODUCT_CAP = 1 << 20
 _PARSE_COEFF_BITS = 1 << 12
+_TABLE_CAP = 1 << 16  # field elements, summed over the memo's fields: about 2 MB of tables
+_TABLES: dict[tuple, tuple[array, array, array]] = {}  # (p, k, modulus coeffs), least recently used first
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -169,17 +172,20 @@ def find_irreducible(p: int, k: int) -> IntPolynomial:
     Candidates are ordered by their ascending coefficient tuple
     (c0, ..., c_{k-1}), so the result is deterministic; for k = 1 this is
     the polynomial z itself.  For k >= 2 every candidate with c0 = 0 is
-    divisible by z, so the search starts at c0 = 1.
+    divisible by z, so the search starts at c0 = 1.  p and k are checked on
+    every call; the search is remembered for the last 1,024 (p, k) asked.
     """
     if not is_prime(p):
         raise SpecError(f"{p} is not prime")
     if k < 1:
         raise SpecError("extension degree must be at least 1")
-    for tail in itertools.product(range(1 if k > 1 else 0, p), *[range(p)] * (k - 1)):
-        f = list(tail) + [1]
-        if _is_irreducible(f, p):
-            return IntPolynomial(f)
-    raise RuntimeError("unreachable: irreducibles of every degree exist")
+    return _first_irreducible(p, k)
+
+
+@functools.lru_cache(maxsize=1024)
+def _first_irreducible(p: int, k: int) -> IntPolynomial:
+    tails = itertools.product(range(1 if k > 1 else 0, p), *[range(p)] * (k - 1))
+    return IntPolynomial(next(f for f in (list(t) + [1] for t in tails) if _is_irreducible(f, p)))
 
 
 class FiniteField:
@@ -190,7 +196,8 @@ class FiniteField:
     reduced and irreducible) and defaults to ``find_irreducible(p, k)``.
     Prime fields compute on residues.  Extension fields multiply, invert
     and raise to powers by exp/log tables of a primitive element g, and add
-    by its Zech table, built on first use in O(q) steps and O(q) words.
+    by its Zech table, read on first use from the module's memo or built in
+    O(q) steps and O(q) words; no instance is cached, only moduli and tables.
     """
 
     __slots__ = ("p", "k", "modulus", "size", "_tables")
@@ -227,8 +234,12 @@ class FiniteField:
         with u^j outside <z> for 0 < j < s spans the cosets u^j<z>.  With
         u^s = z^w, g = u z^t is primitive for the least t with gcd(w + s t, r)
         = 1 (by the CRT one exists), and g^(j + s v) = u^j z^((w + s t) v + t j).
+        The tables are shared through ``_TABLES`` and never written after this.
         """
         p, k, q = self.p, self.k, self.size
+        if (tables := _TABLES.pop(key := (p, k, self.modulus.coeffs), None)) is not None:
+            self._tables = _TABLES[key] = tables  # back in as the most recently used
+            return tables
         m, fp, f = q - 1, FiniteField._prime(p), list(self.modulus.coeffs)
         zmul: list[int] = []
         for c in range(p):  # z*(a + c z^(k-1)) = z*a - c*(f - z^k) for every a < p^(k-1)
@@ -261,6 +272,10 @@ class FiniteField:
         exp += exp
         zech = array("l", (log[x + 1 if x % p < p - 1 else x + 1 - p] for x in exp[:m]))
         self._tables = (exp, log, zech)
+        if q <= _TABLE_CAP:  # a larger field's tables are built every time, never kept
+            _TABLES[key] = self._tables
+            while sum(len(t[1]) for t in _TABLES.values()) > _TABLE_CAP:
+                del _TABLES[next(iter(_TABLES))]
         return self._tables
 
     def from_int(self, n: int) -> int:

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -532,6 +533,116 @@ def test_field_proves_its_prime_once(monkeypatch):
     for p, k, modulus in ((6, 1, None), (2, 0, None), (2, 0, IntPolynomial((1,))), (4, 1, IntPolynomial((0, 1)))):
         with pytest.raises(SpecError):
             FiniteField(p, k, modulus)
+
+
+# --- the process-wide memo of moduli and tables ---
+
+MEMO_FIELDS = [(p, k) for p, k in ORACLE_FIELDS if k > 1]
+
+
+def irreducible_at(p, k, start, avoid=None):
+    """The first monic irreducible of degree k other than avoid whose coefficient code
+    c_0 + c_1 p + ... + c_{k-1} p^(k-1) is start or follows it, cyclically."""
+    for n in itertools.chain(range(start, p**k), range(start)):
+        f = [n // p**i % p for i in range(k)] + [1]
+        if IntPolynomial(f) != avoid and brute_irreducible(f, p):
+            return IntPolynomial(f)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_memoized_tables_equal_a_cold_build(data):
+    p, k = data.draw(st.sampled_from(MEMO_FIELDS))
+    start = data.draw(st.integers(0, p**k - 1))
+    modulus = data.draw(st.sampled_from([find_irreducible(p, k), irreducible_at(p, k, start)]))
+    FiniteField(p, k, modulus).mul(1, 1)
+    warm = FiniteField(p, k, modulus)
+    assert warm._tables is None
+    warm.mul(1, 1)
+    assert warm._tables is finitefield._TABLES[p, k, modulus.coeffs]
+    with mock.patch.dict(finitefield._TABLES, clear=True):
+        cold = FiniteField(p, k, modulus)._build()
+    assert cold is not warm._tables and cold == warm._tables
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(pk=st.sampled_from(ORACLE_FIELDS))
+def test_find_irreducible_equals_the_search_without_the_memo(pk):
+    found = find_irreducible(*pk)
+    assert find_irreducible(*pk) is found
+    assert found == finitefield._first_irreducible.__wrapped__(*pk)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_fields_with_different_moduli_keep_their_own_tables(data):
+    p, k = data.draw(st.sampled_from([pk for pk in MEMO_FIELDS if pk != (2, 2)]))  # F_4 has one modulus
+    a = find_irreducible(p, k)
+    b = irreducible_at(p, k, data.draw(st.integers(0, p**k - 1)), avoid=a)
+    x, y = (data.draw(st.integers(0, p**k - 1)) for _ in range(2))
+    fields = [FiniteField(p, k, m) for m in (a, b, a, b)]  # the second of each is read from the memo
+    for field in fields:
+        field.mul(1, 1)
+        oracle, X, Y = TupleField(p, k, field.modulus), digits(field, x), digits(field, y)
+        assert digits(field, field.mul(x, y)) == oracle.mul(X, Y)
+        assert digits(field, field.add(x, y)) == oracle.add(X, Y)
+    assert fields[0]._tables is fields[2]._tables and fields[1]._tables is fields[3]._tables
+    assert fields[0]._tables != fields[1]._tables
+
+
+def test_errors_are_raised_on_every_call():
+    reducible = IntPolynomial((1, 0, 1))  # (z + 1)^2 over F_2
+    for _ in range(3):
+        for bad in (lambda: FiniteField(6, 1), lambda: FiniteField(2, 0), lambda: find_irreducible(4, 2),
+                    lambda: FiniteField(2, 2, reducible)):
+            with pytest.raises(SpecError):
+                bad()
+        assert find_irreducible(2, 2) == IntPolynomial((1, 1, 1))
+
+
+def test_table_memo_stays_within_its_cap_and_drops_the_oldest_first(monkeypatch):
+    monkeypatch.setattr(finitefield, "_TABLES", {})
+    built = []
+    for tail in itertools.product(range(2), repeat=10):
+        if _is_irreducible(list(tail) + [1], 2):
+            modulus = IntPolynomial(list(tail) + [1])
+            FiniteField(2, 10, modulus).mul(1, 1)
+            built.append((2, 10, modulus.coeffs))
+            kept = list(finitefield._TABLES)
+            assert sum(len(t[1]) for t in finitefield._TABLES.values()) <= finitefield._TABLE_CAP
+            assert kept == built[-len(kept):]
+    assert len(built) == 99 and len(kept) == finitefield._TABLE_CAP // 2**10
+
+
+def test_a_memo_hit_makes_its_field_the_most_recent(monkeypatch):
+    monkeypatch.setattr(finitefield, "_TABLES", {})
+    monkeypatch.setattr(finitefield, "_TABLE_CAP", 16)
+    f8a, f8b = IntPolynomial((1, 1, 0, 1)), IntPolynomial((1, 0, 1, 1))
+    FiniteField(2, 2).mul(2, 2)
+    FiniteField(2, 3, f8a).mul(2, 2)
+    FiniteField(2, 2).mul(2, 3)  # a hit: F_4 is now the most recent
+    FiniteField(2, 3, f8b).mul(2, 2)  # 4 + 8 + 8 elements pass 16: the F_8 under f8a goes
+    assert list(finitefield._TABLES) == [(2, 2, (1, 1, 1)), (2, 3, f8b.coeffs)]
+
+
+def test_a_field_past_the_cap_is_built_but_not_kept(monkeypatch):
+    monkeypatch.setattr(finitefield, "_TABLES", {})
+    FiniteField(2, 4).mul(2, 2)
+    field = FiniteField(2, 17)
+    assert field.size > finitefield._TABLE_CAP
+    field.mul(1, 1)
+    exp, log, zech = field._tables
+    m = field.size - 1
+    assert sorted(exp[:m]) == list(range(1, field.size)) and exp[m:] == exp[:m]
+    assert all(log[exp[n]] == n for n in range(m))
+    oracle, rng = TupleField(2, 17, field.modulus), random.Random(17)
+    for _ in range(200):
+        x, y = rng.randrange(field.size), rng.randrange(field.size)
+        assert digits(field, field.mul(x, y)) == oracle.mul(digits(field, x), digits(field, y))
+        assert digits(field, field.add(x, y)) == oracle.add(digits(field, x), digits(field, y))
+    assert list(finitefield._TABLES) == [(2, 4, find_irreducible(2, 4).coeffs)]
+    again = FiniteField(2, 17)._build()
+    assert again is not field._tables and again == field._tables
 
 
 # --- polynomial parsing and evaluation ---

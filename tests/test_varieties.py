@@ -2,13 +2,15 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import wittzeta.finitefield as finitefield
 import wittzeta.varieties as varieties
 from wittzeta.errors import BudgetError, InconsistentCountsError, PrecisionError, SpecError
-from wittzeta.finitefield import is_prime
+from wittzeta.finitefield import FiniteField, is_prime
 from wittzeta.varieties import (
     AffineSpace,
     CountsSpec,
@@ -26,7 +28,7 @@ from wittzeta.varieties import (
     spec_field_size,
 )
 from wittzeta.witt import WittVector, ghost
-from wittzeta.zeta import spec_zeta
+from wittzeta.zeta import closed_point_degree_counts, spec_zeta, sym_power_counts
 
 E = EllipticCurve(5, 1, 0)
 CUBIC = EquationsSpec.from_strings(2, ("x", "y"), ("y^2 + y - x^3 - x",))
@@ -477,3 +479,19 @@ def test_refused_brute_sym_count_builds_no_table(monkeypatch):
         brute_sym_count(E, 2, 1, budget=20)  # F_5 (10 steps) passes, F_25 (50) is refused
     assert [(f.p, f.k) for f in fields] == [(5, 1), (5, 2)]
     assert all(f._tables is None for f in fields)
+
+
+def test_counting_leaves_the_shared_field_tables_as_built(monkeypatch):
+    """Every field of the same (p, k, modulus) reads one memoized set of tables, so no reader may write them."""
+    monkeypatch.setattr(finitefield, "_TABLES", {})
+    E5, curve = EllipticCurve(5, 1, 1), EquationsSpec.from_strings(5, ("x", "y"), ("y^2 - x^3 - x - 1",))
+    counts = point_counts(E5, 4)
+    for spec, infinity in ((E5, 1), (curve, 0)):
+        assert point_counts(spec, 4).counts == tuple(n - 1 + infinity for n in counts.counts)
+        assert [point_count_by_enumeration(spec, r) for r in (2, 3, 4)] == [n - 1 + infinity for n in counts.counts[1:]]
+        assert closed_point_counts(spec, 1, 4)[1:] == closed_point_degree_counts(counts, 4)[1:]
+        assert brute_sym_count(spec, 2, 2) == sym_power_counts(point_counts(spec, 4), 2, 2).counts[1]
+    assert [key[:2] for key in finitefield._TABLES] == [(5, 2), (5, 3), (5, 4)]
+    for key, shared in list(finitefield._TABLES.items()):
+        with mock.patch.dict(finitefield._TABLES, clear=True):
+            assert FiniteField(5, key[1])._build() == shared
