@@ -57,6 +57,7 @@ from .varieties import (
     base_change,
     brute_sym_count,
     closed_point_counts,
+    closed_point_degree_counts,
     elliptic_trace,
     point_count_by_enumeration,
     point_counts,
@@ -82,7 +83,6 @@ from .witt import (
 )
 from .zeta import (
     RationalFunction,
-    closed_point_degree_counts,
     euler_product_zeta,
     mobius,
     rational_reconstruct,

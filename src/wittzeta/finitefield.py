@@ -14,7 +14,9 @@ is deterministic across runs; for k >= 2 the search starts at c0 = 1, as
 every candidate with c0 = 0 is divisible by z.  Univariate polynomials
 over a field are lists of codes for the irreducibility test, the table
 builder and the fibre walk, which counts and lists an affine system by the
-gcd g in y of its polynomials at each value of the other variables.
+gcd g in y of its polynomials at each value of the other variables.  A
+quadratic g in characteristic 2 is sized by an absolute trace, the parity
+of the code's bits under one mask per modulus (``_trace_mask``).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ _PARSE_PRODUCT_CAP = 1 << 20
 _PARSE_COEFF_BITS = 1 << 12
 _TABLE_CAP = 1 << 16  # field elements, summed over the memo's fields: about 2 MB of tables
 _TABLES: dict[tuple, tuple[array, array, array]] = {}  # (p, k, modulus coeffs), least recently used first
+_TRACE_MASKS: dict[tuple, int] = {}  # (k, modulus coeffs) of F_(2^k) -> ``_trace_mask``
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -589,11 +592,24 @@ def _fibres(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: 
     return v, arith, walk()
 
 
+def _trace_mask(field: FiniteField) -> int:
+    """The mask whose bit i is Tr_(F_q/F_2)(z^i), q = 2^k: the trace is F_2-linear on the code bits,
+    so Tr(u) is the parity of u & mask.  Each bit is a sum of Frobenius powers, once per modulus."""
+    key = (field.k, field.modulus.coeffs)
+    if (mask := _TRACE_MASKS.get(key)) is None:
+        mask = 0
+        for i in range(field.k):  # z^i is the code 2^i
+            mask |= functools.reduce(field.add, (field.pow(1 << i, 2**j) for j in range(field.k))) << i
+        _TRACE_MASKS[key] = mask
+    return mask
+
+
 def _fibre_size(field: FiniteField, arith: FiniteField, g: list) -> int:
     """F_q-roots of a fibre's gcd g over arith, F_q = F_(|arith|^m): all of F_q if g = [], deg g if
     deg g <= 1, deg gcd(g, y^q - y) if deg g >= 3.  y^2 + b y + c has one if b^2 - 4c (p odd) or b
     (p = 2) is 0, else two if b^2 - 4c is a square in arith or m is even (p odd), or if the trace
-    Tr_(F_q/F_2)(c/b^2) = m Tr_(arith/F_2)(c/b^2) is 0 (p = 2, as for y^2 + y + u), else none.
+    Tr_(F_q/F_2)(c/b^2) = m Tr_(arith/F_2)(c/b^2) is 0 (p = 2, as for y^2 + y + u, the trace of arith
+    by its ``_trace_mask``), else none.
     """
     if len(g) > 3:
         return _common_roots(arith, g, _fpowmod(arith, [0, 1], field.size, g))
@@ -604,9 +620,7 @@ def _fibre_size(field: FiniteField, arith: FiniteField, g: list) -> int:
     if arith.p == 2:
         if not b:
             return 1
-        u = arith.mul(c, arith.inv(arith.mul(b, b)))
-        tr = functools.reduce(arith.add, (arith.pow(u, 2**i) for i in range(arith.k)))
-        return 0 if tr * m % 2 else 2
+        return 0 if (arith.mul(c, arith.pow(b, -2)) & _trace_mask(arith)).bit_count() * m % 2 else 2
     d = arith.sub(arith.mul(b, b), arith.mul(arith.from_int(4), c))
     if not d:
         return 1

@@ -5,19 +5,20 @@ projective spaces and elliptic curves from their one ``closed_form``
 num(t) / prod_{lo<=i<=hi} (1 - q^i t), products pointwise, equation systems
 by the fibres' root counts in finitefield (budget-guarded), and
 user-supplied count tables verbatim.  An elliptic num needs the trace over
-F_p: up to p = 229 from the affine points listed over F_p, above it from a
+F_p: up to p = 229 from the affine points counted over F_p, above it from a
 baby-step giant-step search on the twists of E by the values f(x), which
 stops only when one value of #E is left in the Hasse interval, so it is
 exact; Mestre's theorem makes it stop.
 
-The module also hosts the enumeration oracle for symmetric powers: group
-the points over F_{q^{rd}} (tuples of int field codes, in any order; an
-elliptic curve lists them by the parity of log f(x), an equation system
-fibre by fibre) into orbits of one Frobenius map of the field's codes to
-count closed points of each degree d, then count multisets of closed
-points with total degree n.  Both loops read the field's exp/log/Zech
-tables directly.  That route never touches ghost coordinates or Newton
-inversion, so it can sit on the other side of an equality test.
+The module also hosts the enumeration oracle for symmetric powers: count
+the points over F_{q^{rd}} for d = 1..dmax (an elliptic curve by the parity
+of log f(x) off the field's exp/log/Zech tables, no point listed; an
+equation system as its fibre walk yields them), read the closed points of
+each degree d off those counts by one divisor pass, N_m = sum_{d | m} d*a_d
+(``closed_point_degree_counts``, also the zeta layer's test of a count
+table), then count multisets of closed points with total degree n.  That
+route never touches ghost coordinates or Newton inversion, so it can sit
+on the other side of an equality test.
 """
 
 from __future__ import annotations
@@ -196,6 +197,28 @@ class PointCounts:
         return self.counts[r - 1]
 
 
+def closed_point_degree_counts(counts: PointCounts, dmax: int) -> tuple[int, ...]:
+    """Closed points a_1..a_dmax of each degree: the one test of a count table.
+
+    N_m = sum_{d | m} d*a_d, so one forward pass subtracts each d*a_d from
+    N_m for every multiple m of d, in O(N log N) steps; the first degree whose
+    a_d is not a nonnegative integer raises InconsistentCountsError.  A table
+    shorter than dmax raises PrecisionError from ``PointCounts.count`` first."""
+    if dmax < 0:
+        raise ValueError("closed-point degree bound must be nonnegative")
+    if dmax:
+        counts.count(dmax)
+    rest = list(counts.counts[:dmax])  # rest[d-1] is d*a_d once the pass reaches d
+    for d in range(1, dmax + 1):
+        if rest[d - 1] % d or rest[d - 1] < 0:
+            raise InconsistentCountsError(
+                f"counts admit no consistent closed-point count in degree {d}", degree=d
+            )
+        for m in range(2 * d, dmax + 1, d):
+            rest[m - 1] -= rest[d - 1]
+    return tuple(rest[d - 1] // d for d in range(1, dmax + 1))
+
+
 def _ec_add(u: Point | None, v: Point | None, a: int, p: int) -> Point | None:
     """u + v on y^2 = x^3 + a*x + b over F_p, in affine coordinates; None is the point at infinity."""
     if u is None or v is None:
@@ -239,7 +262,7 @@ def elliptic_trace(spec: EllipticCurve, budget: int = DEFAULT_ENUM_BUDGET) -> in
     """The Frobenius trace a = p + 1 - N_1, exactly.
 
     For p <= 229, p minus the number of affine points that
-    ``_elliptic_affine_points`` lists over F_p, charged 2p.  Above it,
+    ``_elliptic_affine_points`` counts over F_p, charged 2p.  Above it,
     Shanks-Mestre baby-step giant-step (Cohen, GTM 138, section 7.4; Schoof
     1995, section 3), charged the group operations of one point's search.
     For x = 0, 1, ... with f = f(x) = x^3 + a*x + b != 0, P = (f*x, f^2) lies on
@@ -253,7 +276,7 @@ def elliptic_trace(spec: EllipticCurve, budget: int = DEFAULT_ENUM_BUDGET) -> in
     """
     p = spec.p
     if p <= 229:
-        return p - len(_elliptic_affine_points(spec, FiniteField._prime(p), budget))
+        return p - _elliptic_affine_points(spec, FiniteField._prime(p), budget)
     a, b = spec.a % p, spec.b % p
     w = math.isqrt(4 * p)  # #E lies in [lo, hi] = p + 1 -+ floor(2 sqrt p), and 4p is no square
     lo, hi, m = p + 1 - w, p + 1 + w, math.isqrt(w)
@@ -331,91 +354,72 @@ def base_change(counts: PointCounts, r: int) -> PointCounts:
     return PointCounts(counts.q**r, counts.counts[r - 1 :: r])
 
 
-def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int) -> list[Point]:
-    """All affine points of the curve over the field, in no fixed order.  q is odd, so over x lie (x, 0)
-    if f(x) = x (x^2 + a) + b is 0 and (x, +-g^(l/2)) if l = log_g f(x) is even, -1 being g^((q-1)/2);
-    f(x) is read in logs off the field's tables, or on residues over F_p with a dict of squares."""
+def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int) -> int:
+    """The number of affine points of the curve over the field.  q is odd, so over x lie 1 point if
+    f(x) = x (x^2 + a) + b is 0, 2 if l = log_g f(x) is even and none if l is odd; f(x) is read in
+    logs off the field's tables, or over F_p on residues with a table of squares."""
     _charge_budget(2 * field.size, budget)
     p, m = field.p, field.size - 1
     a, b = spec.a % p, spec.b % p
     if field.k == 1:
-        root = {y * y % p: y for y in range(1, (p + 1) // 2)}
-        fs = ((x, (x * (x * x + a) + b) % p) for x in range(p))
-        return [(x, y) for x, f in fs for y in ((root[f], p - root[f]) if f in root else () if f else (0,))]
-    exp, log, zech = field._tables or field._build()
+        weight = [1] + [0] * m  # points over x by the residue f(x): 1 at 0, 2 at a nonzero square
+        for y in range(1, (p + 1) // 2):
+            weight[y * y % p] = 2
+        return sum(weight[(x * (x * x + a) + b) % p] for x in range(p))
+    _, log, zech = field._tables or field._build()
+    la, lb = log[a], log[b]  # -1 for a zero coefficient, as log[0] = -1
+    count = 1 if lb < 0 else 0 if lb % 2 else 2  # x = 0, where f(x) = b
+    for lx in range(m):  # x = g^lx, the nonzero x
+        if la < 0:  # s = log(x^2 + a), -1 for 0, by a Zech add
+            s = 2 * lx
+        else:
+            s = la + n if (n := zech[(2 * lx - la) % m]) >= 0 else -1
+        if s < 0:  # l = log f(x), as f(x) = b where x^2 + a = 0
+            l = lb
+        elif lb < 0:
+            l = lx + s
+        else:
+            l = lb + n if (n := zech[(lx + s - lb) % m]) >= 0 else -1
+        count += 1 if l < 0 else 0 if l % 2 else 2
+    return count
 
-    def plus(u: int, lc: int) -> int:  # log(g^u + g^lc), where -1 is the log of 0, as log[0] = -1
-        if u < 0 or lc < 0:
-            return max(u, lc)
-        n = zech[(u - lc) % m]
-        return lc + n if n >= 0 else -1
 
-    la, lb, points = log[a], log[b], []
-    for x in range(m + 1):
-        s = plus(2 * lx, la) if (lx := log[x]) >= 0 else -1  # log(x^2 + a), -1 also for x = 0
-        l = plus(lx + s, lb) if s >= 0 else lb  # log f(x), as f(x) = b where x (x^2 + a) = 0
-        if l < 0:
-            points.append((x, 0))
-        elif l % 2 == 0:
-            y = l % m // 2
-            points += ((x, exp[y]), (x, exp[y + m // 2]))
-    return points
-
-
-def _enumerations(
-    spec: VarietySpec, r: int, dmax: int, budget: int
-) -> Iterator[tuple[FiniteField, list[Point], int]]:
-    """(F_{p^(rd)}, affine points, points at infinity) for d = 1..dmax, each field built and
-    searched in turn; r >= 1, dmax >= 0 and the spec kind (only elliptic, with one rational
-    point at infinity, and equations specs enumerate) are checked at once."""
+def _enumerations(spec: VarietySpec, r: int, dmax: int, budget: int) -> Iterator[int]:
+    """N_(rd) for d = 1..dmax, each field F_{p^(rd)} built and searched in turn: an elliptic curve's
+    affine points plus its one rational point at infinity, an equations spec's points as
+    ``iter_affine_solutions`` yields them.  r >= 1, dmax >= 0 and the spec kind (only those two
+    enumerate) are checked at once."""
     if r < 1 or dmax < 0:
         raise ValueError(f"enumeration needs r >= 1 and dmax >= 0, got r = {r}, dmax = {dmax}")
     if not isinstance(spec, (EllipticCurve, EquationsSpec)):
         raise SpecError("brute-force enumeration needs an elliptic or equations spec")
     fields = (FiniteField(spec.p, r * d) for d in range(1, dmax + 1))
     if isinstance(spec, EllipticCurve):
-        return ((field, _elliptic_affine_points(spec, field, budget), 1) for field in fields)
+        return (_elliptic_affine_points(spec, field, budget) + 1 for field in fields)
     nvars = len(spec.variables)
-    return ((field, list(iter_affine_solutions(spec.polys, nvars, field, budget)), 0) for field in fields)
+    return (sum(1 for _ in iter_affine_solutions(spec.polys, nvars, field, budget)) for field in fields)
 
 
 def point_count_by_enumeration(
     spec: VarietySpec, r: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> int:
     """N_r by direct enumeration over F_{p^r}; elliptic includes infinity."""
-    [(_, points, infinity)] = _enumerations(spec, r, 1, budget)
-    return len(points) + infinity
+    [count] = _enumerations(spec, r, 1, budget)
+    return count
 
 
 def closed_point_counts(
     spec: VarietySpec, r: int, dmax: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[int, ...]:
-    """Closed points of X/F_{q^r} of each degree 1..dmax, by orbit counting.
+    """Closed points of X/F_{q^r} of each degree 1..dmax, from enumerated counts.
 
-    The degree-d count enumerates X(F_{q^{rd}}) and groups it into orbits
-    of the q^r-power Frobenius (the identity for d = 1), read off one map of
-    codes frob[c] = g^(log c * q^r); the orbits of size exactly d are the
-    closed points of degree d.  Points at infinity are orbits of size 1.
+    The degree-d count enumerates X(F_{q^{rd}}), points at infinity
+    included, for N_d of X/F_{q^r}; as N_m = sum_{d | m} d*a_d, one
+    divisor pass, ``closed_point_degree_counts`` at base q^r, reads off
+    the closed points a_d of degree d.
     """
-    out = []
-    for d, (field, points, infinity) in enumerate(_enumerations(spec, r, dmax, budget), start=1):
-        if d == 1:
-            out.append(len(points) + infinity)
-            continue
-        exp, log, _ = field._tables or field._build()
-        e, m = spec.q**r, field.size - 1
-        frob = [0] + [exp[lc * e % m] for lc in log[1:]]
-        seen: set[Point] = set()
-        orbits = 0
-        for pt in points:
-            if pt not in seen:
-                orbit = [pt]
-                while (cur := tuple(map(frob.__getitem__, orbit[-1]))) != pt:
-                    orbit.append(cur)
-                seen.update(orbit)
-                orbits += len(orbit) == d
-        out.append(orbits)
-    return tuple(out)
+    counts = tuple(_enumerations(spec, r, dmax, budget))
+    return closed_point_degree_counts(PointCounts(spec.q**r, counts), dmax)
 
 
 def brute_sym_count(
@@ -425,8 +429,9 @@ def brute_sym_count(
 
     A point of Sym^n X over F_{q^r} is a multiset of closed points of
     X/F_{q^r} with degrees summing to n, so the count is the u^n coefficient
-    of prod_d sum_k C(c_d+k-1, k) u^(dk), c_d the closed points of degree d;
-    no series or ghost arithmetic is involved.
+    of prod_d sum_k C(c_d+k-1, k) u^(dk), c_d the closed points of degree d
+    that ``closed_point_counts`` reads off the enumerated counts; no series
+    or ghost arithmetic is involved.
     """
     if n < 0:
         raise ValueError("symmetric power index must be nonnegative")

@@ -7,9 +7,10 @@ N_1..N_N.  That makes assembly from counts a single ghost inversion
 (``zeta_from_counts``, O(N^2)) and gives a second, independent construction
 through the Euler product over closed points (``euler_product_zeta``);
 the two must agree on any honest count table.  Every route from counts
-first runs the one test of honesty, ``closed_point_degree_counts``: the
-closed-point counts a_d must be nonnegative integers.  Their integrality
-is the ghost-image criterion, so a table that passes inverts integrally.
+first runs the one test of honesty, ``closed_point_degree_counts`` (from
+varieties, where the enumeration oracles use it too): the closed-point
+counts a_d must be nonnegative integers.  Their integrality is the
+ghost-image criterion, so a table that passes inverts integrally.
 ``spec_zeta`` needs no table for affine and projective spaces and elliptic
 curves: it expands their ``varieties.closed_form``, num(t) * prod_{lo<=i<=hi}
 1/(1 - q^i t), in O(N) steps, and ``rational_reconstruct`` recovers num/den
@@ -29,11 +30,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InconsistentCountsError, PrecisionError, ReconstructionError
+from .errors import PrecisionError, ReconstructionError
 from .finitefield import DEFAULT_ENUM_BUDGET
 from .rings import IntPolynomial, TruncatedSeries, ZZ
 from .sigma import sigma_witt
-from .varieties import PointCounts, VarietySpec, closed_form, point_counts
+from .varieties import PointCounts, VarietySpec, closed_form, closed_point_degree_counts, point_counts
 from .witt import GhostVector, WittVector, ghost_inverse, witt_one
 
 
@@ -84,28 +85,6 @@ def mobius(n: int) -> int:
     if n > 1:
         result = -result
     return result
-
-
-def closed_point_degree_counts(counts: PointCounts, dmax: int) -> tuple[int, ...]:
-    """Closed points a_1..a_dmax of each degree: the one test of a count table.
-
-    N_m = sum_{d | m} d*a_d, so one forward pass subtracts each d*a_d from
-    N_m for every multiple m of d, in O(N log N) steps; the first degree whose
-    a_d is not a nonnegative integer raises InconsistentCountsError.  A table
-    shorter than dmax raises PrecisionError from ``PointCounts.count`` first."""
-    if dmax < 0:
-        raise ValueError("closed-point degree bound must be nonnegative")
-    if dmax:
-        counts.count(dmax)
-    rest = list(counts.counts[:dmax])  # rest[d-1] is d*a_d once the pass reaches d
-    for d in range(1, dmax + 1):
-        if rest[d - 1] % d or rest[d - 1] < 0:
-            raise InconsistentCountsError(
-                f"counts admit no consistent closed-point count in degree {d}", degree=d
-            )
-        for m in range(2 * d, dmax + 1, d):
-            rest[m - 1] -= rest[d - 1]
-    return tuple(rest[d - 1] // d for d in range(1, dmax + 1))
 
 
 def euler_product_zeta(counts: PointCounts, prec: int) -> WittVector:

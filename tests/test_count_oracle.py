@@ -18,25 +18,30 @@ gcd over F_q itself (m = 1) or over F_p inside F_q = F_(p^k) (m = k).
 The routes that work on residues and on the field's exp/log/Zech tables
 are checked against the ``FiniteField`` method-call routes they replaced:
 ``MultiPoly.evaluate`` (prepared once per field) against
-``evaluate_by_terms``; the elliptic point list (log parity) against a
-square table of q ``mul`` calls; ``closed_point_counts`` (one Frobenius map
-per field) against an orbit walk by ``field.pow`` over points found by
-those two oracles.
+``evaluate_by_terms``; the elliptic point count (log parity) against the
+length of a point list from a square table of q ``mul`` calls and against
+the Euler-criterion sum; ``closed_point_counts`` (a divisor pass over
+enumerated counts) against an orbit walk by ``field.pow`` over points
+found by those two oracles.  The characteristic-2 trace mask is checked
+against the sum of Frobenius powers at every element of F_(2^k), k <= 12.
 """
 import functools
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from wittzeta.finitefield import (
     FiniteField,
     MultiPoly,
     _fibre_size,
+    _is_irreducible,
+    _trace_mask,
     count_affine_points,
     iter_affine_solutions,
     parse_polynomial,
 )
+from wittzeta.rings import IntPolynomial
 from wittzeta.varieties import EllipticCurve, EquationsSpec, _elliptic_affine_points, closed_point_counts
 
 MAX_POINTS = 2401
@@ -228,6 +233,39 @@ def test_fibre_size_of_degree_one_and_two_matches_a_scan(case):
     assert _fibre_size(field, arith, g) == roots
 
 
+def last_irreducible(k):
+    """The monic irreducible of degree k over F_2 that comes last in ``find_irreducible``'s order."""
+    tails = itertools.product((1, 0), repeat=k)
+    return IntPolynomial(next(f for f in (list(t) + [1] for t in tails) if (k == 1 or f[0]) and _is_irreducible(f, 2)))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_trace_mask_gives_the_frobenius_sum_trace(k):
+    """Tr(u) = parity(u & mask) for every u in F_(2^k), under the default and another modulus."""
+    for field in (FiniteField(2, k), FiniteField(2, k, last_irreducible(k))):
+        mask = _trace_mask(field)
+        assert 0 <= mask < field.size
+        assert all((u & mask).bit_count() % 2 == absolute_trace(field, u) for u in field.elements())
+
+
+@st.composite
+def char2_quadratics(draw):
+    """(field, g): a monic y^2 + b y + c over F_(2^k), k <= 6, often with b = 0 or c = 0."""
+    field = field_of(2, draw(st.integers(1, 6)))
+    element = st.one_of(st.just(0), st.integers(0, field.size - 1))
+    return field, [draw(element), draw(element), 1]
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@seed(20)
+@given(case=char2_quadratics())
+def test_char2_fibre_size_matches_a_horner_scan(case):
+    field, g = case
+    roots = sum(1 for y in field.elements()
+                if functools.reduce(lambda acc, c: field.add(field.mul(acc, y), c), reversed(g), 0) == 0)
+    assert _fibre_size(field, field, g) == roots
+
+
 @pytest.mark.parametrize("p,k", FIBRE_FIELDS)
 def test_fibre_size_parity_rule_over_the_prime_field(p, k):
     """Over F_p inside F_(p^k): y^2 + y + 1 (p = 2) and y^2 - d, d a non-residue mod p, split iff k is even."""
@@ -261,20 +299,30 @@ def curves(draw, primes, max_k):
     return EllipticCurve(p, a, b), field_of(p, draw(st.integers(1, max_k)))
 
 
+def elliptic_count_by_euler_criterion(spec, field):
+    """The affine points of y^2 = f(x), as the sum over x of 1 + f(x)^((q-1)/2), the power read as 0, 1 or -1."""
+    a, b, half = field.from_int(spec.a), field.from_int(spec.b), (field.size - 1) // 2
+    character = {field.zero: 0, field.one: 1, field.neg(field.one): -1}
+    return sum(1 + character[field.pow(field.add(field.mul(x, field.add(field.mul(x, x), a)), b), half)]
+               for x in field.elements())
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(case=curves([5, 7, 11, 13], 3))
 def test_elliptic_points_match_the_square_table(case):
     spec, field = case
-    assert sorted(_elliptic_affine_points(spec, field, 10**6)) == sorted(elliptic_points_by_square_table(spec, field))
+    count = _elliptic_affine_points(spec, field, 10**6)
+    assert count == len(elliptic_points_by_square_table(spec, field))
+    assert count == elliptic_count_by_euler_criterion(spec, field)
 
 
 # a = 0 (also as 5), b = 0 (a root at x = 0), a root at x = 1 (1 + 1 + 3), and no root in F_5
 @pytest.mark.parametrize("a,b", [(0, 1), (5, 3), (1, 0), (3, 0), (1, 3), (1, 1), (2, 1), (4, 2)])
 def test_elliptic_points_over_f625_match_the_square_table(a, b):
     spec, field = EllipticCurve(5, a, b), field_of(5, 4)
-    points = _elliptic_affine_points(spec, field, 10**6)
-    assert sorted(points) == sorted(elliptic_points_by_square_table(spec, field))
-    assert len(points) == len(set(points))
+    count = _elliptic_affine_points(spec, field, 10**6)
+    assert count == len(elliptic_points_by_square_table(spec, field))
+    assert count == elliptic_count_by_euler_criterion(spec, field)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -283,6 +331,13 @@ def test_closed_point_counts_of_curves_match_the_pow_orbit_walk(case, r, dmax):
     spec, _ = case
     dmax = min(dmax, 2) if r == 2 else dmax  # at most F_(7^4)
     assert closed_point_counts(spec, r, dmax) == closed_points_by_pow_orbits(spec, r, dmax)
+
+
+# a = 0, b = 0, a root at x = 1 and no root in F_5; N_1 = 6, 4, 4 and 9
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (1, 3), (1, 1)])
+def test_closed_point_counts_over_f25_to_f15625_match_the_pow_orbit_walk(a, b):
+    spec = EllipticCurve(5, a, b)
+    assert closed_point_counts(spec, 2, 3) == closed_points_by_pow_orbits(spec, 2, 3)
 
 
 @st.composite

@@ -422,8 +422,13 @@ def test_closed_point_counts_with_no_degrees_is_empty():
         (lambda budget: point_count_by_enumeration(E, 2, budget), 50),  # 2q over F_25
         (lambda budget: point_count_by_enumeration(CUBIC, 3, budget), 64),  # q^n over F_8
         (lambda budget: point_counts(CUBIC, 3, budget), 64),
+        # the last field searched is the one refused: 2q over F_(5^6), 2q over F_(5^3), q^n over F_8
+        (lambda budget: closed_point_counts(E, 2, 3, budget), 31250),
+        (lambda budget: brute_sym_count(E, 3, 1, budget), 250),
+        (lambda budget: closed_point_counts(CUBIC, 1, 3, budget), 64),
     ],
-    ids=["elliptic-trace", "elliptic-trace-bsgs", "elliptic-points", "equations-enumeration", "equations-root-count"],
+    ids=["elliptic-trace", "elliptic-trace-bsgs", "elliptic-points", "equations-enumeration", "equations-root-count",
+         "elliptic-closed-points", "elliptic-sym", "equations-closed-points"],
 )
 def test_every_search_is_charged_by_one_budget_gate(search, required):
     with pytest.raises(BudgetError) as info:
