@@ -60,6 +60,10 @@ def _read_argument(text: str) -> str:
 
 
 _WIRE_DIGITS = 100_000
+# the fields of each variety spec type, in the order they are read and missing ones reported
+_SPEC_FIELDS = {"affine": ("dim", "q"), "projective": ("dim", "q"), "elliptic": ("p", "a", "b"),
+                "product": ("factors",), "counts": ("counts", "q"), "equations": ("vars", "polys", "p")}
+_INT_SPECS = {"affine": AffineSpace, "projective": ProjectiveSpace, "elliptic": EllipticCurve}  # of their int fields
 
 
 def _lifted(convert: Callable[..., Any], *args: Any) -> Any:
@@ -130,12 +134,16 @@ def encode_witt(vector: WittVector) -> dict:
     return {"precision": vector.prec, "coeffs": coeffs}
 
 
+def _known_fields(obj: dict, fields: Sequence[str], what: str) -> None:
+    """SpecError naming the fields of obj outside fields, the one check of both document decoders."""
+    if unknown := set(obj) - set(fields):
+        raise SpecError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 def decode_witt(obj: Any) -> WittVector:
     if not isinstance(obj, dict):
         raise SpecError("a Witt vector document must be a JSON object")
-    unknown = set(obj) - {"precision", "coeffs"}
-    if unknown:
-        raise SpecError(f"unknown Witt vector fields: {sorted(unknown)}")
+    _known_fields(obj, ("precision", "coeffs"), "Witt vector")
     prec = _as_int(obj.get("precision"), "precision")
     coeffs = obj.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != prec:
@@ -171,38 +179,31 @@ def decode_spec(obj: Any) -> VarietySpec:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SpecError('a variety spec is a JSON object with a "type" field')
     kind = obj["type"]
-    try:
-        if kind == "affine":
-            return AffineSpace(_as_int(obj["dim"], "dim"), _as_int(obj["q"], "q"))
-        if kind == "projective":
-            return ProjectiveSpace(_as_int(obj["dim"], "dim"), _as_int(obj["q"], "q"))
-        if kind == "elliptic":
-            return EllipticCurve(
-                _as_int(obj["p"], "p"), _as_int(obj["a"], "a"), _as_int(obj["b"], "b")
-            )
-        if kind == "product":
-            factors = obj["factors"]
-            if not isinstance(factors, list):
-                raise SpecError("product factors must be a JSON array")
-            return ProductSpec(tuple(decode_spec(f) for f in factors))
-        if kind == "counts":
-            counts = obj["counts"]
-            if not isinstance(counts, list):
-                raise SpecError("counts must be a JSON array")
-            return CountsSpec(
-                _as_int(obj["q"], "q"), tuple(_as_int(c, "count") for c in counts)
-            )
-        if kind == "equations":
-            variables = obj["vars"]
-            polys = obj["polys"]
-            if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-                raise SpecError("vars must be a JSON array of names")
-            if not isinstance(polys, list) or not all(isinstance(f, str) for f in polys):
-                raise SpecError("polys must be a JSON array of expressions")
-            return EquationsSpec.from_strings(_as_int(obj["p"], "p"), variables, polys)
-    except KeyError as exc:
-        raise SpecError(f"variety spec of type {kind!r} is missing field {exc}") from exc
-    raise SpecError(f"unknown variety type {kind!r}")
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise SpecError(f"unknown variety type {kind!r}")
+    fields = _SPEC_FIELDS[kind]
+    _known_fields(obj, ("type", *fields), f"{kind} spec")
+    if missing := [f for f in fields if f not in obj]:
+        raise SpecError(f"variety spec of type {kind!r} is missing field {missing[0]!r}")
+    if kind in _INT_SPECS:
+        return _INT_SPECS[kind](*(_as_int(obj[f], f) for f in fields))
+    if kind == "product":
+        factors = obj["factors"]
+        if not isinstance(factors, list):
+            raise SpecError("product factors must be a JSON array")
+        return ProductSpec(tuple(decode_spec(f) for f in factors))
+    if kind == "counts":
+        counts = obj["counts"]
+        if not isinstance(counts, list):
+            raise SpecError("counts must be a JSON array")
+        return CountsSpec(_as_int(obj["q"], "q"), tuple(_as_int(c, "count") for c in counts))
+    variables = obj["vars"]  # kind == "equations", the last of _SPEC_FIELDS
+    polys = obj["polys"]
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise SpecError("vars must be a JSON array of names")
+    if not isinstance(polys, list) or not all(isinstance(f, str) for f in polys):
+        raise SpecError("polys must be a JSON array of expressions")
+    return EquationsSpec.from_strings(_as_int(obj["p"], "p"), variables, polys)
 
 
 def _emit(encode: Callable[..., dict], *args: Any, **kwargs: Any) -> None:

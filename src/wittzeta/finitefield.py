@@ -16,7 +16,7 @@ over a field are lists of codes for the irreducibility test, the table
 builder and the fibre walk, which counts and lists an affine system by the
 gcd g in y of its polynomials at each value of the other variables.  A
 quadratic g in characteristic 2 is sized by an absolute trace, the parity
-of the code's bits under one mask per modulus (``_trace_mask``).
+of the code's bits under one mask per walk (``_trace_mask``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import itertools
 import math
 import operator
 from array import array
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import BudgetError, SpecError
 from .rings import IntPolynomial, binary_power
@@ -36,7 +36,6 @@ _PARSE_PRODUCT_CAP = 1 << 20
 _PARSE_COEFF_BITS = 1 << 12
 _TABLE_CAP = 1 << 16  # field elements, summed over the memo's fields: about 2 MB of tables
 _TABLES: dict[tuple, tuple[array, array, array]] = {}  # (p, k, modulus coeffs), least recently used first
-_TRACE_MASKS: dict[tuple, int] = {}  # (k, modulus coeffs) of F_(2^k) -> ``_trace_mask``
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -432,18 +431,21 @@ class MultiPoly:
 # --- minimal expression grammar: integers, variables, + - * ^, parentheses ---
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
+def _tokenize(text: str) -> list[tuple[str, str | int]]:
+    tokens: list[tuple[str, str | int]] = []
     i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # what int() reads: str.isdigit would pass superscripts too
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", text[i:j]))
+            try:
+                tokens.append(("int", int(text[i:j])))
+            except ValueError as exc:
+                raise SpecError(f"a {j - i}-digit literal in a polynomial is past the int/str digit limit") from exc
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -489,7 +491,7 @@ def parse_polynomial(text: str, varnames: Sequence[str]) -> MultiPoly:
     def peek() -> str:
         return tokens[pos][0] if pos < len(tokens) else ""
 
-    def take(kind: str) -> str:
+    def take(kind: str) -> Any:
         nonlocal pos
         if peek() != kind:
             raise SpecError(f"expected {kind!r} at token {pos} in polynomial {text!r}")
@@ -522,13 +524,13 @@ def parse_polynomial(text: str, varnames: Sequence[str]) -> MultiPoly:
         base = parse_atom()
         if peek() == "^":
             take("^")
-            return binary_power(base, int(take("int")), times, MultiPoly.constant(nvars, 1))
+            return binary_power(base, take("int"), times, MultiPoly.constant(nvars, 1))
         return base
 
     def parse_atom() -> MultiPoly:
         kind = peek()
         if kind == "int":
-            return MultiPoly.constant(nvars, int(take("int")))
+            return MultiPoly.constant(nvars, take("int"))
         if kind == "name":
             name = take("name")
             if name not in index:
@@ -558,12 +560,13 @@ def _charge_budget(required: int, budget: int) -> None:
 
 
 def _fibres(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: int) -> tuple:
-    """(v, arith, fibres), the walk shared by counting and enumeration; checks arity and budget (q^n) first.
+    """(v, size, fibres), the walk shared by counting and enumeration; checks arity and budget (q^n) first.
 
-    The variable y = x_v of least degree stays symbolic: each polynomial is split once into
-    sum_j c_j * y^j (y^q = y on F_q, so j < q).  For each value rest of the other variables, in
-    product order, fibres yields rest and the monic gcd g over arith of the specialised polynomials,
-    [] if all vanish.  In one variable arith is F_p inside F_q, so no F_q table is built.
+    The variable y = x_v of least degree stays symbolic: one pass splits each polynomial into sum_j c_j y^j
+    (y^q = y on F_q, so j < q), one MultiPoly c_j per j with summed integer coefficients.  For each value
+    rest of the other variables, in product order, fibres yields rest and the monic gcd g over arith of the
+    specialised polynomials, [] if all vanish; size is ``_fibre_size`` bound to (field, arith, mask), mask
+    ``_trace_mask(arith)`` once per walk if p = 2.  In one variable arith is F_p inside F_q (no F_q table).
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
@@ -571,16 +574,16 @@ def _fibres(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: 
         raise ValueError("polynomial arity does not match the variable count")
     _charge_budget(field.size**nvars, budget)
     v = min(range(nvars), key=lambda i: max((e[i] for f in polys for e in f.terms), default=0))
-    q, zero = field.size, MultiPoly(nvars)
     coeffs = []
     for f in polys:
-        by_power: dict[int, MultiPoly] = {}
+        by_power: dict[int, dict[tuple[int, ...], int]] = {}
         for exps, c in f.terms.items():
-            j = min(exps[v], (exps[v] - 1) % (q - 1) + 1)
-            term = MultiPoly(nvars, {exps[:v] + (0,) + exps[v + 1:]: c % field.p})
-            by_power[j] = by_power.get(j, zero) + term
-        coeffs.append([by_power.get(j, zero) for j in range(max(by_power, default=-1) + 1)])
+            part = by_power.setdefault(min(exps[v], (exps[v] - 1) % (field.size - 1) + 1), {})
+            rest = exps[:v] + (0,) + exps[v + 1:]
+            part[rest] = part.get(rest, 0) + c
+        coeffs.append([MultiPoly(nvars, by_power.get(j)) for j in range(max(by_power, default=-1) + 1)])
     arith = field if nvars > 1 else FiniteField._prime(field.p)
+    size = functools.partial(_fibre_size, field, arith, _trace_mask(arith) if field.p == 2 else 0)
 
     def walk() -> Iterator[tuple[tuple[int, ...], list]]:
         for rest in itertools.product(field.elements(), repeat=nvars - 1):
@@ -589,27 +592,22 @@ def _fibres(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: 
                 g = _fgcd(arith, g, _ftrim(arith, [c.evaluate(arith, point) for c in cs]))
             yield rest, g
 
-    return v, arith, walk()
+    return v, size, walk()
 
 
 def _trace_mask(field: FiniteField) -> int:
     """The mask whose bit i is Tr_(F_q/F_2)(z^i), q = 2^k: the trace is F_2-linear on the code bits,
-    so Tr(u) is the parity of u & mask.  Each bit is a sum of Frobenius powers, once per modulus."""
-    key = (field.k, field.modulus.coeffs)
-    if (mask := _TRACE_MASKS.get(key)) is None:
-        mask = 0
-        for i in range(field.k):  # z^i is the code 2^i
-            mask |= functools.reduce(field.add, (field.pow(1 << i, 2**j) for j in range(field.k))) << i
-        _TRACE_MASKS[key] = mask
-    return mask
+    so Tr(u) is the parity of u & mask.  Each bit is a sum of k Frobenius powers."""
+    return sum(functools.reduce(field.add, (field.pow(1 << i, 2**j) for j in range(field.k))) << i
+               for i in range(field.k))  # z^i is the code 2^i
 
 
-def _fibre_size(field: FiniteField, arith: FiniteField, g: list) -> int:
+def _fibre_size(field: FiniteField, arith: FiniteField, mask: int, g: list) -> int:
     """F_q-roots of a fibre's gcd g over arith, F_q = F_(|arith|^m): all of F_q if g = [], deg g if
     deg g <= 1, deg gcd(g, y^q - y) if deg g >= 3.  y^2 + b y + c has one if b^2 - 4c (p odd) or b
     (p = 2) is 0, else two if b^2 - 4c is a square in arith or m is even (p odd), or if the trace
-    Tr_(F_q/F_2)(c/b^2) = m Tr_(arith/F_2)(c/b^2) is 0 (p = 2, as for y^2 + y + u, the trace of arith
-    by its ``_trace_mask``), else none.
+    Tr_(F_q/F_2)(c/b^2) = m Tr_(arith/F_2)(c/b^2) is 0 (p = 2, as for y^2 + y + u; Tr_(arith/F_2)(u) is
+    the parity of u & mask, mask = ``_trace_mask(arith)``, unread for odd p), else none.
     """
     if len(g) > 3:
         return _common_roots(arith, g, _fpowmod(arith, [0, 1], field.size, g))
@@ -620,7 +618,7 @@ def _fibre_size(field: FiniteField, arith: FiniteField, g: list) -> int:
     if arith.p == 2:
         if not b:
             return 1
-        return 0 if (arith.mul(c, arith.pow(b, -2)) & _trace_mask(arith)).bit_count() * m % 2 else 2
+        return 0 if (arith.mul(c, arith.pow(b, -2)) & mask).bit_count() * m % 2 else 2
     d = arith.sub(arith.mul(b, b), arith.mul(arith.from_int(4), c))
     if not d:
         return 1
@@ -632,10 +630,10 @@ def iter_affine_solutions(polys: Sequence[MultiPoly], nvars: int, field: FiniteF
     """Yield every point of the affine vanishing locus, fibre by fibre (see ``_fibres``): in each,
     the y in code order, all of F_q if g = [], else the roots of g by a Horner scan that stops at
     the fibre's size (or deg g).  Refuses q^n past the budget."""
-    v, arith, fibres = _fibres(polys, nvars, field, budget)
+    v, size, fibres = _fibres(polys, nvars, field, budget)
     add, mul = field.add, field.mul
     for rest, g in fibres:
-        left = _fibre_size(field, arith, g) if len(g) <= 3 else len(g) - 1
+        left = size(g) if len(g) <= 3 else len(g) - 1
         for y in field.elements():
             if not left:
                 break
@@ -651,5 +649,5 @@ def count_affine_points(polys: Sequence[MultiPoly], nvars: int, field: FiniteFie
                         budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Number of solutions of the system over the field: the fibre sizes of ``_fibres``
     summed.  The budget caps q^n, the size of the searched space."""
-    _, arith, fibres = _fibres(polys, nvars, field, budget)
-    return sum(_fibre_size(field, arith, g) for _, g in fibres)
+    _, size, fibres = _fibres(polys, nvars, field, budget)
+    return sum(size(g) for _, g in fibres)

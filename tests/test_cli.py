@@ -322,6 +322,49 @@ def test_exit_code_2_on_unknown_spec_type(capsys):
     assert code == 2
 
 
+SPEC_OF_EACH_TYPE = {
+    "affine": {"type": "affine", "dim": 1, "q": 2},
+    "projective": {"type": "projective", "dim": 1, "q": 2},
+    "elliptic": {"type": "elliptic", "p": 5, "a": 1, "b": 1},
+    "product": {"type": "product", "factors": [{"type": "affine", "dim": 1, "q": 2}]},
+    "counts": {"type": "counts", "q": 2, "counts": [2]},
+    "equations": {"type": "equations", "p": 2, "vars": ["x"], "polys": ["x"]},
+}
+
+
+@pytest.mark.parametrize("kind", SPEC_OF_EACH_TYPE)
+def test_exit_code_2_on_an_unknown_spec_field(capsys, kind):
+    spec = SPEC_OF_EACH_TYPE[kind]
+    assert run_json(capsys, "zeta", "--spec", json.dumps(spec), "-N", "1")
+    code, out, err = run_cli(capsys, "zeta", "--spec", json.dumps({**spec, "extra": 1}), "-N", "1")
+    assert_one_malformed_input_line(code, out, err)
+    assert json.loads(err)["error"]["message"] == f"unknown {kind} spec fields: ['extra']"
+
+
+def test_exit_code_2_on_an_unknown_field_of_a_product_factor(capsys):
+    factor = {**SPEC_OF_EACH_TYPE["elliptic"], "extra": 1}
+    spec = {"type": "product", "factors": [SPEC_OF_EACH_TYPE["affine"], factor]}
+    code, out, err = run_cli(capsys, "zeta", "--spec", json.dumps(spec), "-N", "1")
+    assert_one_malformed_input_line(code, out, err)
+    assert json.loads(err)["error"]["message"] == "unknown elliptic spec fields: ['extra']"
+
+
+@pytest.mark.parametrize("kind", SPEC_OF_EACH_TYPE)
+def test_missing_spec_field_message(capsys, kind):
+    for field in set(SPEC_OF_EACH_TYPE[kind]) - {"type"}:
+        spec = {k: v for k, v in SPEC_OF_EACH_TYPE[kind].items() if k != field}
+        code, out, err = run_cli(capsys, "zeta", "--spec", json.dumps(spec), "-N", "1")
+        assert_one_malformed_input_line(code, out, err)
+        assert json.loads(err)["error"]["message"] == f"variety spec of type {kind!r} is missing field {field!r}"
+
+
+def test_superscript_digit_in_an_equation_is_malformed_input(capsys):
+    spec = {"type": "equations", "p": 2, "vars": ["x"], "polys": ["x^²"]}
+    code, out, err = run_cli(capsys, "zeta", "--spec", json.dumps(spec), "-N", "1")
+    assert_one_malformed_input_line(code, out, err)
+    assert "invalid literal" not in err
+
+
 def test_exit_code_3_on_integrality_failure(capsys):
     code, out, err = run_cli(capsys, "witt", "unghost", "--ghost", "[1,0]")
     assert (code, out) == (3, "")

@@ -13,7 +13,9 @@ k <= 3, with 1-3 variables (q^n <= 2,401): sparse polynomials with
 exponents above q and coefficients that are multiples of p, and products
 of linear forms, which have many and repeated roots.  The fibre sizes of
 degree 1 and 2 are checked on their own against a scan over F_q, with the
-gcd over F_q itself (m = 1) or over F_p inside F_q = F_(p^k) (m = k).
+gcd over F_q itself (m = 1) or over F_p inside F_q = F_(p^k) (m = k).  The
+walk's split is checked to build one MultiPoly per polynomial and y-degree,
+with integer coefficients merged (y^q folded into y, sums that vanish mod p).
 
 The routes that work on residues and on the field's exp/log/Zech tables
 are checked against the ``FiniteField`` method-call routes they replaced:
@@ -35,6 +37,7 @@ from wittzeta.finitefield import (
     FiniteField,
     MultiPoly,
     _fibre_size,
+    _fibres,
     _is_irreducible,
     _trace_mask,
     count_affine_points,
@@ -191,6 +194,50 @@ def test_root_count_explicit_cases(p, k, names, texts, expected):
     assert len(points_by_evaluation(polys, len(names), field)) == expected
 
 
+
+# --- the split of ``_fibres``: one MultiPoly per (polynomial, y-degree), integer coefficients merged ---
+
+
+@pytest.mark.parametrize(
+    "p,k,names,texts,expected",
+    [
+        # y (index 0, tied with x) stays symbolic; y^4 = y on F_4 merges y^4*x + y*x into 2*x*y = 0
+        (2, 2, ("y", "x"), ["y^4*x + y*x + x^4"], 4),
+        (2, 2, ("y", "x"), ["y^4*x + y*x + y^2 + x^4 + 1"], 4),
+        # y^q folded into y: y^9 + y = 2y on F_9, and y^4 - y vanishes on F_4
+        (3, 2, ("y", "x"), ["y^9 + y - x^9"], 9),
+        (2, 2, ("y", "x"), ["y^4 - y + x^4"], 4),
+        # 5*x*y is 0 over F_5
+        (5, 1, ("x", "y"), ["5*x*y"], 25),
+        (5, 1, ("y", "x"), ["5*x*y + x - y"], 5),
+    ],
+)
+def test_fibre_split_merges_coefficients_as_the_evaluation_does(p, k, names, texts, expected):
+    polys = [parse_polynomial(text, names) for text in texts]
+    field, nvars = field_of(p, k), len(names)
+    points = points_by_evaluation(polys, nvars, field)
+    assert len(points) == expected
+    assert count_affine_points(polys, nvars, field) == expected
+    assert sorted(iter_affine_solutions(polys, nvars, field)) == points
+
+
+def test_fibres_builds_one_multipoly_per_polynomial_and_y_degree(monkeypatch):
+    """y^4*x + y*x + 1 over F_4 splits into c_0 = 1 and c_1 = 2x, x^4 - y^2 - x into x^4 - x, 0 and -1."""
+    polys = [parse_polynomial(text, ("y", "x")) for text in ("y^4*x + y*x + 1", "x^4 - y^2 - x")]
+    field, built, init = field_of(2, 2), [], MultiPoly.__init__
+
+    def counted_init(self, nvars, terms=None):
+        built.append(dict(terms or {}))
+        init(self, nvars, terms)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counted_init)
+    v, size, fibres = _fibres(polys, 2, field, 1 << 24)
+    assert v == 0
+    assert built == [{(0, 0): 1}, {(0, 1): 2}, {(0, 4): 1, (0, 1): -1}, {}, {(0, 0): -1}]
+    monkeypatch.undo()
+    assert sum(size(g) for _, g in fibres) == len(points_by_evaluation(polys, 2, field))
+
+
 # --- fibre sizes of degree 1 and 2, against a scan over F_q ---
 
 FIBRE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11) for k in range(1, 5)]
@@ -230,7 +277,7 @@ def test_fibre_size_of_degree_one_and_two_matches_a_scan(case):
     field, arith, g = case
     roots = sum(1 for y in field.elements()
                 if functools.reduce(lambda acc, c: field.add(field.mul(acc, y), c), reversed(g), 0) == 0)
-    assert _fibre_size(field, arith, g) == roots
+    assert _fibre_size(field, arith, _trace_mask(arith) if arith.p == 2 else 0, g) == roots
 
 
 def last_irreducible(k):
@@ -263,7 +310,7 @@ def test_char2_fibre_size_matches_a_horner_scan(case):
     field, g = case
     roots = sum(1 for y in field.elements()
                 if functools.reduce(lambda acc, c: field.add(field.mul(acc, y), c), reversed(g), 0) == 0)
-    assert _fibre_size(field, field, g) == roots
+    assert _fibre_size(field, field, _trace_mask(field), g) == roots
 
 
 @pytest.mark.parametrize("p,k", FIBRE_FIELDS)
@@ -275,7 +322,7 @@ def test_fibre_size_parity_rule_over_the_prime_field(p, k):
     else:
         d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
         g = [p - d, 0, 1]
-    assert _fibre_size(field, fp, g) == (2 if k % 2 == 0 else 0)
+    assert _fibre_size(field, fp, _trace_mask(fp) if p == 2 else 0, g) == (2 if k % 2 == 0 else 0)
 
 
 # --- the table routes against the FiniteField method-call routes ---

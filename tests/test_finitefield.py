@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import time
 from unittest import mock
 
@@ -684,6 +685,29 @@ def test_parse_polynomial_bounds_coefficient_bits_before_each_product():
 def test_parse_polynomial_rejects_malformed(text):
     with pytest.raises(SpecError):
         parse_polynomial(text, ("x", "y"))
+
+
+@pytest.mark.parametrize("text", ["x^²", "²*x", "x^1²", "x^²1"])
+def test_parse_polynomial_reads_decimal_digits_only(text):
+    """Superscripts pass str.isdigit but not int(): they are unexpected characters."""
+    with pytest.raises(SpecError, match="unexpected character"):
+        parse_polynomial(text, ("x",))
+
+
+def test_parse_polynomial_reads_decimal_digits_of_any_script():
+    assert parse_polynomial("x^٣ - ٣*x", ("x",)) == parse_polynomial("x^3 - 3*x", ("x",))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize("text", ["7" * 5000 + "*x", "x - " + "9" * 5000, "x^" + "1" * 5000])
+def test_parse_polynomial_literal_past_the_digit_limit_is_a_spec_error(text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        with pytest.raises(SpecError, match="5000-digit literal"):
+            parse_polynomial(text, ("x",))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- affine point enumeration ---
