@@ -166,8 +166,8 @@ def encode_ghost(g: GhostVector) -> dict:
 
 def encode_rational(rf: RationalFunction) -> dict:
     doc = {
-        "num": [_int_to_wire(rf.num.coefficient(k)) for k in range(max(rf.num.degree, 0) + 1)],
-        "den": [_int_to_wire(rf.den.coefficient(k)) for k in range(max(rf.den.degree, 0) + 1)],
+        "num": [_int_to_wire(c) for c in rf.num.coeffs],
+        "den": [_int_to_wire(c) for c in rf.den.coeffs],
     }
     shown = rf.display()
     if shown is not None:

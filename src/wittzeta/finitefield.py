@@ -597,9 +597,14 @@ def _fibres(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: 
 
 def _trace_mask(field: FiniteField) -> int:
     """The mask whose bit i is Tr_(F_q/F_2)(z^i), q = 2^k: the trace is F_2-linear on the code bits,
-    so Tr(u) is the parity of u & mask.  Each bit is a sum of k Frobenius powers."""
-    return sum(functools.reduce(field.add, (field.pow(1 << i, 2**j) for j in range(field.k))) << i
-               for i in range(field.k))  # z^i is the code 2^i
+    so Tr(u) is the parity of u & mask.  Tr(z^i) is the i-th power sum s_i of the modulus's roots, so
+    Newton's identities mod 2 give s_0 = k and s_i = i f_(k-i) + sum_(0<j<i) f_(k-j) s_(i-j), where
+    f_j is the t^j coefficient of the modulus."""
+    f, k = field.modulus.coeffs, field.k
+    sums = [k & 1]
+    for i in range(1, k):
+        sums.append((i * f[k - i] + sum(f[k - j] * sums[i - j] for j in range(1, i))) & 1)
+    return sum(s << i for i, s in enumerate(sums))  # z^i is the code 2^i
 
 
 def _fibre_size(field: FiniteField, arith: FiniteField, mask: int, g: list) -> int:

@@ -57,8 +57,7 @@ class WittVector:
     @classmethod
     def from_coeffs(cls, ring: Ring, coeffs: Sequence[Element]) -> "WittVector":
         """Build 1 + c1*t + ... + cN*t^N from the coefficients c1..cN."""
-        checked = tuple(ring.check(c) for c in coeffs)
-        return cls(TruncatedSeries(ring, (ring.one,) + checked))
+        return cls(TruncatedSeries(ring, (ring.one, *coeffs)))
 
     @property
     def ring(self) -> Ring:
@@ -300,8 +299,7 @@ def frobenius(p: WittVector, n: int) -> WittVector:
 
 def map_coefficients(p: WittVector, fn: Callable[[Element], Element], ring: Ring) -> WittVector:
     """Apply a ring map coefficient-wise, landing in the given ring."""
-    coeffs = tuple(ring.check(fn(c)) for c in p.series.coeffs[1:])
-    return WittVector(TruncatedSeries(ring, (ring.one,) + coeffs))
+    return WittVector(TruncatedSeries(ring, (ring.one, *map(fn, p.series.coeffs[1:]))))
 
 
 class WittRing(Ring):

@@ -171,43 +171,23 @@ def _divisors(n: int) -> list[int]:
     return sorted(divisors)
 
 
-def _divide_out_linear(
-    polys: tuple[IntPolynomial, ...], lead: int
-) -> tuple[tuple[IntPolynomial, ...], list[tuple[int, int]]] | None:
-    """Divide common factors (1 - c*t) out of polys, for c = d, -d and each
-    divisor d of lead in increasing order, as often as every poly allows.
-
-    Returns the quotients and the (c, multiplicity) pairs removed, or None
-    when |lead| exceeds 10**12 and the search is not attempted.
+def _linear_factors(poly: IntPolynomial) -> tuple[list[tuple[int, int]], IntPolynomial]:
+    """The (c, multiplicity) of each factor (1 - c*t) of poly, for c = d, then -d, for each divisor d
+    of its leading coefficient in increasing order, and the cofactor left once they are divided out.
+    None are sought when |lead| exceeds 10**12, and the cofactor is then poly itself.
     """
-    lead = abs(lead)
+    lead = abs(poly.leading())
     if lead > 10**12:
-        return None
+        return [], poly
     factors: list[tuple[int, int]] = []
-    for c in _divisors(lead):
-        for signed in (c, -c):
-            mult = 0
-            factor = IntPolynomial((1, -signed))
-            while True:
-                quotients = tuple(p.div_exact(factor) for p in polys)
-                if None in quotients:
-                    break
-                polys = quotients
-                mult += 1
+    for d in _divisors(lead):
+        for c in (d, -d):
+            mult, factor = 0, IntPolynomial((1, -c))
+            while (quotient := poly.div_exact(factor)) is not None:
+                poly, mult = quotient, mult + 1
             if mult:
-                factors.append((signed, mult))
-    return polys, factors
-
-
-def _factor_reciprocal_roots(poly: IntPolynomial) -> list[tuple[int, int]] | None:
-    """Write poly as a product of (1 - c*t) factors, or None if it is not one."""
-    found = _divide_out_linear((poly,), poly.leading())
-    if found is None:
-        return None
-    (rest,), factors = found
-    if rest != IntPolynomial((1,)):
-        return None
-    return factors
+                factors.append((c, mult))
+    return factors, poly
 
 
 def _render_factors(factors: list[tuple[int, int]]) -> str:
@@ -229,8 +209,11 @@ def _render_factors(factors: list[tuple[int, int]]) -> str:
 class RationalFunction:
     """A quotient of integer polynomials in t, both with constant term 1.
 
-    Construction strips common linear factors found by integer-root
-    inspection (best effort); it does not attempt a full gcd.
+    Construction factors den once into factors (1 - c*t), c from the
+    divisors of its leading coefficient (none past 10**12), and divides
+    each out of num and den as often as both allow; it does not attempt a
+    full gcd.  What is left of den's factors is kept, outside the fields,
+    for ``display`` when they make up all of den.
     """
 
     num: IntPolynomial
@@ -240,11 +223,17 @@ class RationalFunction:
         num, den = self.num, self.den
         if num.coefficient(0) != 1 or den.coefficient(0) != 1:
             raise ValueError("numerator and denominator must have constant term 1")
-        found = _divide_out_linear((num, den), den.leading())
-        if found is not None:
-            (num, den), _ = found
+        factors, cofactor = _linear_factors(den)
+        kept = []
+        for c, mult in factors:
+            factor = IntPolynomial((1, -c))
+            while mult and (quotient := num.div_exact(factor)) is not None:
+                num, den, mult = quotient, den.div_exact(factor), mult - 1
+            if mult:
+                kept.append((c, mult))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_den_factors", kept if cofactor.coeffs == (1,) else None)
 
     def series(self, prec: int) -> TruncatedSeries:
         """Expand to a truncated series over the integers."""
@@ -256,16 +245,13 @@ class RationalFunction:
         return WittVector(self.series(prec))
 
     def display(self) -> str | None:
-        """A factored rendering, when every denominator root is 1/integer."""
-        den_factors = _factor_reciprocal_roots(self.den)
+        """A factored rendering, when construction split den into factors (1 - c*t)."""
+        den_factors = self._den_factors
         if den_factors is None:
             return None
-        num_factors = _factor_reciprocal_roots(self.num)
-        if num_factors is not None:
-            num_text = _render_factors(num_factors)
-        else:
-            num_text = f"({self.num.render('t')})"
-        if self.den.degree == 0:
+        num_factors, rest = _linear_factors(self.num)
+        num_text = _render_factors(num_factors) if rest.coeffs == (1,) else f"({self.num.render('t')})"
+        if not den_factors:
             return num_text
         den_text = _render_factors(den_factors)
         if len(den_factors) > 1 or den_factors[0][1] > 1:

@@ -21,6 +21,12 @@ must return the same length and the same polynomial up to its constant term.
 ``RationalFunction`` normalisation tries (1 - c*t) for every divisor c of
 the leading coefficient; ``_divisors`` lists them from a factorisation.  The
 trial-division scan up to sqrt(n) it replaced is kept as its oracle.
+
+``RationalFunction`` factors its denominator once and keeps what is left of
+those factors for ``display``.  The route it replaced searched num and den
+jointly at construction and then den and num again in ``display``; it is
+kept as ``fraction_by_joint_search``, and both must give the same num, den,
+display and str, or the same error.
 """
 
 import math
@@ -34,7 +40,14 @@ from wittzeta.errors import PrecisionError, ReconstructionError
 from wittzeta.rings import IntPolynomial, TruncatedSeries, ZZ
 from wittzeta.varieties import EllipticCurve
 from wittzeta.witt import WittVector
-from wittzeta.zeta import RationalFunction, _divisors, _shortest_recurrence, rational_reconstruct, sym_zeta
+from wittzeta.zeta import (
+    RationalFunction,
+    _divisors,
+    _render_factors,
+    _shortest_recurrence,
+    rational_reconstruct,
+    sym_zeta,
+)
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -296,3 +309,115 @@ def test_divisors_from_a_factorisation_match_the_scan(n):
 def test_divisors_of_a_prime_power_lead_stop_at_its_prime():
     assert _divisors(7**9) == [7**k for k in range(10)]
     assert _divisors(0) == divisors_by_scan(0) == []
+
+
+def divide_out_linear(polys, lead):
+    """Divide common factors (1 - c*t) out of polys, for c = d, -d and each
+    divisor d of lead in increasing order, as often as every poly allows;
+    the quotients and the (c, multiplicity) pairs removed, or None past 10**12."""
+    lead = abs(lead)
+    if lead > 10**12:
+        return None
+    factors = []
+    for c in _divisors(lead):
+        for signed in (c, -c):
+            mult = 0
+            factor = IntPolynomial((1, -signed))
+            while True:
+                quotients = tuple(p.div_exact(factor) for p in polys)
+                if None in quotients:
+                    break
+                polys = quotients
+                mult += 1
+            if mult:
+                factors.append((signed, mult))
+    return polys, factors
+
+
+def factor_reciprocal_roots(poly):
+    """poly as a product of (1 - c*t) factors, or None if it is not one."""
+    found = divide_out_linear((poly,), poly.leading())
+    if found is None:
+        return None
+    (rest,), factors = found
+    return factors if rest == IntPolynomial((1,)) else None
+
+
+def fraction_by_joint_search(num, den):
+    """(num, den, display, str) as the joint search of both polynomials gave them."""
+    if num.coefficient(0) != 1 or den.coefficient(0) != 1:
+        raise ValueError("numerator and denominator must have constant term 1")
+    found = divide_out_linear((num, den), den.leading())
+    if found is not None:
+        (num, den), _ = found
+    den_factors = factor_reciprocal_roots(den)
+    shown = None
+    if den_factors is not None:
+        num_factors = factor_reciprocal_roots(num)
+        shown = _render_factors(num_factors) if num_factors is not None else f"({num.render('t')})"
+        if den.degree > 0:
+            den_text = _render_factors(den_factors)
+            if len(den_factors) > 1 or den_factors[0][1] > 1:
+                den_text = f"({den_text})"
+            shown = f"{shown}/{den_text}"
+    text = shown if shown is not None else f"({num.render('t')})/({den.render('t')})"
+    return num, den, shown, text
+
+
+def fraction_outcome(build, num, den):
+    try:
+        return build(num, den)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def fraction_by_construction(num, den):
+    rf = RationalFunction(num, den)
+    return rf.num, rf.den, rf.display(), str(rf)
+
+
+LINEAR_ROOTS = [s * c for c in (1, 2, 3, 5, 25, 10**6 + 3, 3**20) for s in (1, -1)]
+
+
+@st.composite
+def fraction_cases(draw):
+    """num/den built from factors (1 - c*t), irreducible quadratics 1 + a*t + b*t^2
+    (a^2 < 4b) and shared factors; leads fall on both sides of 10**12."""
+    def side():
+        poly = IntPolynomial((1,))
+        for c in draw(st.lists(st.sampled_from(LINEAR_ROOTS), max_size=4)):
+            poly = poly * IntPolynomial((1, -c))
+        if draw(st.booleans()):
+            b = draw(st.integers(1, 7))
+            a = draw(st.integers(-3, 3).filter(lambda a: a * a < 4 * b))
+            poly = poly * IntPolynomial((1, a, b))
+        return poly
+    num, den, shared = side(), side(), side()
+    num, den = num * shared, den * shared
+    broken = draw(st.integers(0, 19))  # one case in ten has a constant term other than 1
+    if broken == 7:
+        num = num + 1
+    elif broken == 13:
+        den = den - 1
+    return num, den
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(case=fraction_cases())
+def test_fraction_factored_once_matches_the_joint_search(case):
+    num, den = case
+    assert fraction_outcome(fraction_by_construction, num, den) == fraction_outcome(fraction_by_joint_search, num, den)
+
+
+def test_display_divides_only_the_numerator(monkeypatch):
+    rf = RationalFunction(IntPolynomial((1, 1, 1)), IntPolynomial((1, -5, 6)))
+    dividends = []
+    div_exact = IntPolynomial.div_exact
+
+    def recording(self, other):
+        dividends.append(self)
+        return div_exact(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "div_exact", recording)
+    assert rf.display() == "(1 + t + t^2)/((1-2t)(1-3t))"
+    assert dividends and all(p == rf.num for p in dividends)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wittzeta.errors import IntegralityError, PrecisionError
-from wittzeta.rings import IntPolynomial, TruncatedSeries, ZPOLY, ZZ
+from wittzeta.rings import IntegerRing, IntPolynomial, TruncatedSeries, ZPOLY, ZZ
 from wittzeta.witt import (
     GhostVector,
     WittRing,
@@ -268,6 +268,37 @@ def test_witt_ring_check_rejects_mixed_precision():
         ring.check(teichmuller(IntPolynomial((0, 1)), 4, ZPOLY))
     with pytest.raises(TypeError):
         ring.check(7)
+
+
+class CountingRing(IntegerRing):
+    """ZZ that counts its ``check`` calls."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def check(self, x):
+        self.checks += 1
+        return super().check(x)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_coefficients_are_checked_once(n):
+    ring = CountingRing()
+    p = WittVector.from_coeffs(ring, list(range(n)))
+    assert ring.checks == n + 1 and p.coeffs == tuple(range(n))
+    ring.checks = 0
+    assert map_coefficients(p, lambda c: 2 * c, ring).coeffs == tuple(range(0, 2 * n, 2))
+    assert ring.checks == n + 1
+
+
+def test_from_coeffs_checks_and_coerces_each_coefficient():
+    with pytest.raises(TypeError):
+        WittVector.from_coeffs(ZZ, [1, "2"])
+    with pytest.raises(TypeError):
+        map_coefficients(WittVector.from_coeffs(ZZ, [1, 2]), str, ZZ)
+    p = WittVector.from_coeffs(ZPOLY, [1, 2])
+    assert all(isinstance(c, IntPolynomial) for c in p.series.coeffs)
+    assert p.coeffs == (IntPolynomial((1,)), IntPolynomial((2,)))
 
 
 def test_map_coefficients_specializes_polynomials():
