@@ -8,10 +8,10 @@ or @path to read a file.
 Wire formats.  A Witt vector is {"precision": N, "coeffs": ["a1", ..,
 "aN"]} with coefficients as decimal strings and the constant term 1 left
 implicit; nested Witt vectors nest the same object.  Ghost coordinates
-are {"precision": N, "ghost": [..]}.  A rational function is {"num":
-[..], "den": [..]} with ascending coefficients starting at "1", plus a
-factored "display" string when the denominator splits into (1-ct)
-factors.
+are {"precision": N, "ghost": [..]}, which unghost also reads as the bare
+array.  A rational function is {"num": [..], "den": [..]} with ascending
+coefficients starting at "1", plus a factored "display" string when the
+denominator splits into (1-ct) factors.
 
 Exit codes: 0 success, 1 failed check suite, 2 malformed input, 3
 integrality failure (inconsistent counts, non-divisible Newton step), 4
@@ -155,6 +155,13 @@ def decode_witt(obj: Any) -> WittVector:
 
 
 def decode_ghost(obj: Any) -> GhostVector:
+    """The document ``witt ghost`` prints, {"precision": N, "ghost": [..]}, or its bare array."""
+    if isinstance(obj, dict):
+        _known_fields(obj, ("precision", "ghost"), "ghost")
+        ghost = obj.get("ghost")
+        if not isinstance(ghost, list) or _as_int(obj.get("precision"), "precision") != len(ghost):
+            raise SpecError("ghost must be a list of length precision")
+        obj = ghost
     if not isinstance(obj, list) or not obj:
         raise SpecError("ghost coordinates must be a nonempty JSON array")
     return GhostVector(ZZ, [_int_from_wire(c, "ghost coordinate") for c in obj])
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Teichmueller operand [A]; needs -N (repeatable)")
     witt.add_argument("--witt", action="append", default=[], metavar="DOC",
                       help="Witt vector document, inline JSON or @file (repeatable)")
-    witt.add_argument("--ghost", metavar="LIST", help="ghost coordinates for unghost")
+    witt.add_argument("--ghost", metavar="LIST", help="ghost document or bare array for unghost")
     witt.add_argument("-N", "--precision", type=int, help="precision for --teich operands")
     witt.add_argument("-n", "--index", type=int, help="Frobenius index for frob")
     witt.set_defaults(handler=cmd_witt)

@@ -16,9 +16,9 @@ of log f(x) off the field's exp/log/Zech tables, no point listed; an
 equation system as its fibre walk yields them), read the closed points of
 each degree d off those counts by one divisor pass, N_m = sum_{d | m} d*a_d
 (``closed_point_degree_counts``, also the zeta layer's test of a count
-table), then count multisets of closed points with total degree n.  That
-route never touches ghost coordinates or Newton inversion, so it can sit
-on the other side of an equality test.
+table), then take #Sym^n as the t^n coefficient of their Euler product
+(``euler_product``).  That route never touches ghost coordinates or
+Newton inversion, so it can sit on the other side of an equality test.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .finitefield import (
     parse_polynomial,
     prime_power_decompose,
 )
-from .rings import binary_power
+from .rings import ZZ, TruncatedSeries, binary_power
 
 Point = tuple[int, ...]
 
@@ -217,6 +217,20 @@ def closed_point_degree_counts(counts: PointCounts, dmax: int) -> tuple[int, ...
         for m in range(2 * d, dmax + 1, d):
             rest[m - 1] -= rest[d - 1]
     return tuple(rest[d - 1] // d for d in range(1, dmax + 1))
+
+
+def euler_product(closed: Sequence[int], prec: int) -> list[int]:
+    """t^0..t^prec of prod_d (1 - t^d)^(-a_d), a_d = closed[d-1]: the Euler product over closed points.
+
+    Each factor (1 - t)^(-a_d) comes to degree prec // d from ``pow_int``'s power recurrence
+    (``sigma_int``'s call) however large a_d is, and is multiplied in at the terms t^(dk) only."""
+    series = [1] + [0] * prec
+    for d, a_d in enumerate(closed[:prec], start=1):
+        if a_d:
+            f = TruncatedSeries(ZZ, (1, -1) + (0,) * (prec // d - 1)).pow_int(-a_d).coeffs
+            for m in range(prec, d - 1, -1):  # downward, so series[m - d*k] is still the old product
+                series[m] += sum(f[k] * series[m - d * k] for k in range(1, m // d + 1))
+    return series
 
 
 def _ec_add(u: Point | None, v: Point | None, a: int, p: int) -> Point | None:
@@ -425,18 +439,9 @@ def closed_point_counts(
 def brute_sym_count(
     spec: VarietySpec, n: int, r: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> int:
-    """N_r of the n-th symmetric power, counted as multisets of closed points.
-
-    A point of Sym^n X over F_{q^r} is a multiset of closed points of
-    X/F_{q^r} with degrees summing to n, so the count is the u^n coefficient
-    of prod_d sum_k C(c_d+k-1, k) u^(dk), c_d the closed points of degree d
-    that ``closed_point_counts`` reads off the enumerated counts; no series
-    or ghost arithmetic is involved.
-    """
+    """N_r of Sym^n X, whose points are the multisets of closed points of X/F_{q^r} of total degree n:
+    the t^n coefficient of the Euler product (``euler_product``) over the closed points that
+    ``closed_point_counts`` reads off the enumerated counts; no ghost arithmetic is involved."""
     if n < 0:
         raise ValueError("symmetric power index must be nonnegative")
-    ways = [1] + [0] * n  # ways[m]: multisets of total degree m from the degrees seen so far
-    for d, c in enumerate(closed_point_counts(spec, r, n, budget), start=1):
-        ways = [sum(math.comb(c + k - 1, k) * ways[m - d * k] for k in range(m // d + 1)) if c else ways[m]
-                for m in range(n + 1)]
-    return ways[n]
+    return euler_product(closed_point_counts(spec, r, n, budget), n)[n]

@@ -8,7 +8,8 @@ N_1..N_N.  That makes assembly from counts a single ghost inversion
 through the Euler product over closed points (``euler_product_zeta``);
 the two must agree on any honest count table.  Every route from counts
 first runs the one test of honesty, ``closed_point_degree_counts`` (from
-varieties, where the enumeration oracles use it too): the closed-point
+varieties, whose enumeration oracles use it and ``euler_product`` too;
+``brute_sym_count`` is that product's t^n coefficient): the closed-point
 counts a_d must be nonnegative integers.  Their integrality is the
 ghost-image criterion, so a table that passes inverts integrally.
 ``spec_zeta`` needs no table for affine and projective spaces and elliptic
@@ -34,7 +35,7 @@ from .errors import PrecisionError, ReconstructionError
 from .finitefield import DEFAULT_ENUM_BUDGET
 from .rings import IntPolynomial, TruncatedSeries, ZZ
 from .sigma import sigma_witt
-from .varieties import PointCounts, VarietySpec, closed_form, closed_point_degree_counts, point_counts
+from .varieties import PointCounts, VarietySpec, closed_form, closed_point_degree_counts, euler_product, point_counts
 from .witt import GhostVector, WittVector, ghost_inverse, witt_one
 
 
@@ -88,25 +89,11 @@ def mobius(n: int) -> int:
 
 
 def euler_product_zeta(counts: PointCounts, prec: int) -> WittVector:
-    """Z(X, t) as the Euler product over closed points of degree <= N.
-
-    Each factor (1 - t^d)^(-a_d) = sum_k C(a_d+k-1, k) t^(dk) comes from the
-    power recurrence of ``pow_int`` in O(N) steps for any a_d ~ q^d/d and is
-    multiplied in over its terms t^(dk) only; no ghost coordinates or Newton
-    steps are involved: an independent route to ``zeta_from_counts``'s vector.
-    """
+    """Z(X, t) as the Euler product over closed points of degree <= N (``varieties.euler_product``),
+    with no ghost coordinates or Newton steps: an independent route to ``zeta_from_counts``'s vector."""
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    series = [1] + [0] * prec
-    for d, a_d in enumerate(closed_point_degree_counts(counts, prec), start=1):
-        if a_d == 0:
-            continue
-        factor = [1] + [0] * prec
-        factor[d] = -1
-        f = TruncatedSeries(ZZ, factor).pow_int(-a_d).coeffs
-        for k in range(prec, d - 1, -1):
-            series[k] += sum(f[j] * series[k - j] for j in range(d, k + 1, d))
-    return WittVector(TruncatedSeries(ZZ, series))
+    return WittVector(TruncatedSeries(ZZ, euler_product(closed_point_degree_counts(counts, prec), prec)))
 
 
 def sym_power_counts(counts: PointCounts, n: int, rmax: int) -> PointCounts:

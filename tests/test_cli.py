@@ -56,6 +56,30 @@ def test_witt_unghost_zero(capsys):
     assert doc == {"precision": 3, "coeffs": ["0", "0", "0"]}
 
 
+def test_witt_unghost_reads_the_document_witt_ghost_prints(capsys):
+    _, ghost_doc, _ = run_cli(capsys, "witt", "ghost", "--teich", "3", "-N", "3")
+    teich = run_json(capsys, "witt", "teich", "--teich", "3", "-N", "3")
+    assert run_json(capsys, "witt", "unghost", "--ghost", ghost_doc) == teich
+    vector = encode_witt(WittVector.from_coeffs(ZZ, [(-7) ** k - k for k in range(40)]))
+    _, ghost_doc, _ = run_cli(capsys, "witt", "ghost", "--witt", json.dumps(vector))
+    assert len(json.loads(ghost_doc)["ghost"]) == 40
+    assert run_json(capsys, "witt", "unghost", "--ghost", ghost_doc) == vector
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"precision":2,"ghost":["3","9","27"]}', "ghost must be a list of length precision"),
+        ('{"precision":3,"ghost":["3","9","27"],"extra":1}', "unknown ghost fields: ['extra']"),
+    ],
+    ids=["precision-mismatch", "extra-field"],
+)
+def test_witt_unghost_document_exits_2_on_a_bad_shape(capsys, doc, message):
+    code, out, err = run_cli(capsys, "witt", "unghost", "--ghost", doc)
+    assert_one_malformed_input_line(code, out, err)
+    assert json.loads(err)["error"]["message"] == message
+
+
 def test_witt_frobenius(capsys):
     doc = run_json(capsys, "witt", "frob", "--teich", "3", "-N", "4", "-n", "2")
     assert doc == {"precision": 2, "coeffs": ["9", "81"]}
