@@ -247,15 +247,20 @@ def _witt_operands(args: argparse.Namespace) -> list[WittVector]:
 
 
 def cmd_witt(args: argparse.Namespace) -> int:
+    """Run one Witt operation; a flag the operation does not read is refused, and -N truncates the output."""
     op = args.op
+    if op != "frob" and args.index is not None:
+        raise SpecError(f"-n is the Frobenius index of frob; {op} takes none")
+    if op != "unghost" and args.ghost is not None:
+        raise SpecError(f"--ghost coordinates are read by unghost only, not by {op}")
+    if op == "unghost" and (args.teich or args.witt):
+        raise SpecError("unghost reads --ghost coordinates only, no --teich or --witt operand")
+    operands = _witt_operands(args)  # none for unghost
     if op == "unghost":
         if args.ghost is None:
             raise SpecError("unghost needs --ghost coordinates")
-        g = _read_wire(decode_ghost, args.ghost, "ghost coordinates")
-        _emit(encode_witt, ghost_inverse(g))
-        return 0
-    operands = _witt_operands(args)
-    if op in ("add", "mul"):
+        result = ghost_inverse(_read_wire(decode_ghost, args.ghost, "ghost coordinates"))
+    elif op in ("add", "mul"):
         if len(operands) < 2:
             raise SpecError(f"{op} needs at least two operands")
         acc = operands[0]
@@ -270,11 +275,10 @@ def cmd_witt(args: argparse.Namespace) -> int:
         if len(args.teich) != 1 or args.witt:
             raise SpecError("teich takes exactly one --teich operand")
         result = operands[0]
-    elif op == "ghost":
+    elif op == "ghost":  # the ghost map is triangular: truncating its operand truncates its output
         if len(operands) != 1:
             raise SpecError("ghost takes exactly one operand")
-        _emit(encode_ghost, ghost(operands[0]))
-        return 0
+        result = operands[0]
     elif op == "frob":
         if len(operands) != 1:
             raise SpecError("frob takes exactly one operand")
@@ -285,7 +289,10 @@ def cmd_witt(args: argparse.Namespace) -> int:
         raise SpecError(f"unknown witt operation {op!r}")
     if args.precision is not None and args.precision < result.prec:
         result = result.truncate(args.precision)
-    _emit(encode_witt, result)
+    if op == "ghost":
+        _emit(encode_ghost, ghost(result))
+    else:
+        _emit(encode_witt, result)
     return 0
 
 
@@ -351,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     witt.add_argument("--witt", action="append", default=[], metavar="DOC",
                       help="Witt vector document, inline JSON or @file (repeatable)")
     witt.add_argument("--ghost", metavar="LIST", help="ghost document or bare array for unghost")
-    witt.add_argument("-N", "--precision", type=int, help="precision for --teich operands")
+    witt.add_argument("-N", "--precision", type=int,
+                      help="precision for --teich operands; truncates the output of every operation")
     witt.add_argument("-n", "--index", type=int, help="Frobenius index for frob")
     witt.set_defaults(handler=cmd_witt)
 

@@ -7,6 +7,8 @@ c_0 + c_1 p + ... + c_{k-1} p^(k-1) in 0..q-1, so ``elements()`` is
 multiplies, inverts, raises to powers (Frobenius included) and adds by
 exp/log/Zech tables, built in O(q) steps on its first such operation or read
 from a process-wide memo of at most ``_TABLE_CAP`` elements, oldest use out first.
+The orbits of F_q under x -> x^(p^e), as cosets of l -> p^e l on logs, are kept
+beside them under the same cap (``_frobenius_orbits``).
 
 The default modulus for every (p, k) is the lexicographically smallest
 monic irreducible, by ascending coefficient tuple, so field construction
@@ -14,9 +16,11 @@ is deterministic across runs; for k >= 2 the search starts at c0 = 1, as
 every candidate with c0 = 0 is divisible by z.  Univariate polynomials
 over a field are lists of codes for the irreducibility test, the table
 builder and the fibre walk, which counts and lists an affine system by the
-gcd g in y of its polynomials at each value of the other variables.  A
-quadratic g in characteristic 2 is sized by an absolute trace, the parity
-of the code's bits under one mask per walk (``_trace_mask``).
+gcd g in y of its polynomials at the other variables.  It visits one value
+of those per orbit of x -> x^p (``_orbit_points``) and weights the fibre
+by the orbit's size, since x -> x^p maps a fibre onto the next one in the
+orbit.  A quadratic g in characteristic 2 is sized by an absolute trace,
+the parity of the code's bits under one mask per walk (``_trace_mask``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import itertools
 import math
 import operator
 from array import array
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import BudgetError, SpecError
 from .rings import IntPolynomial, binary_power
@@ -36,6 +40,7 @@ _PARSE_PRODUCT_CAP = 1 << 20
 _PARSE_COEFF_BITS = 1 << 12
 _TABLE_CAP = 1 << 16  # field elements, summed over the memo's fields: about 2 MB of tables
 _TABLES: dict[tuple, tuple[array, array, array]] = {}  # (p, k, modulus coeffs), least recently used first
+_ORBITS: dict[tuple[int, int, int], tuple[array, array]] = {}  # (p, k, e), least recently used first
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -190,6 +195,60 @@ def _first_irreducible(p: int, k: int) -> IntPolynomial:
     return IntPolynomial(next(f for f in (list(t) + [1] for t in tails) if _is_irreducible(f, p)))
 
 
+def _memo(memo: dict, key: tuple, build: Callable[[], Any]) -> Any:
+    """memo[key], put back as the most recently used entry, or build() on a miss.  A value built for a
+    field of q = key[0]**key[1] elements is kept if q fits ``_TABLE_CAP``, after the oldest entries go
+    while their fields' sizes and q, summed, pass the cap; a larger field's value is never kept."""
+    if (value := memo.pop(key, None)) is None:
+        value, q = build(), key[0] ** key[1]
+        if q > _TABLE_CAP:
+            return value
+        while sum(p**k for p, k, *_ in memo) + q > _TABLE_CAP:
+            del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def _frobenius_orbits(p: int, k: int, e: int) -> tuple[array, array]:
+    """(logs, sizes): the least l and the size of each coset of l -> p^e l mod p^k - 1.  These are the
+    orbits of the nonzero elements of F_(p^k) under x -> x^(p^e), as logs to any primitive element;
+    kept in ``_ORBITS`` by ``_memo``."""
+    def build() -> tuple[array, array]:
+        m = p**k - 1
+        step, seen, logs, sizes = p**e % m, bytearray(m), array("l"), array("l")
+        for l in range(m):
+            if not seen[l]:  # l starts a new cycle of the permutation l -> step * l
+                j, c = l, 0
+                while not seen[j]:
+                    seen[j], j, c = 1, j * step % m, c + 1
+                logs.append(l)
+                sizes.append(c)
+        return logs, sizes
+
+    return _memo(_ORBITS, (p, k, e), build)
+
+
+def _orbit_points(field: FiniteField, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(x, w): one point x of each orbit of F_q^m under sigma: x -> x^p on every coordinate, and its
+    orbit's size w.  x_1 takes one element of each orbit under sigma, then x_2 one of each orbit under
+    x_1's stabiliser sigma^e, e the size of x_1's orbit, and so on: w is the product of the sizes.
+    Prime fields, and every coordinate after sigma^e fixes F_q (k | e), run over all of F_q in code order."""
+    def extend(x: tuple[int, ...], e: int, w: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if e % field.k == 0 or len(x) == m:
+            for tail in itertools.product(field.elements(), repeat=m - len(x)):
+                yield x + tail, w
+            return
+        exp = (field._tables or field._build())[0]
+        logs, sizes = _frobenius_orbits(field.p, field.k, e)
+        for y, c in itertools.chain([(0, 1)], zip(map(exp.__getitem__, logs), sizes)):
+            if len(x) + 1 == m:
+                yield x + (y,), w * c
+            else:
+                yield from extend(x + (y,), e * c, w * c)
+
+    return extend((), 1, 1)
+
+
 class FiniteField:
     """F_{p^k}; the element c_0 + c_1 z + ... + c_{k-1} z^(k-1) is the int
     code c_0 + c_1 p + ... + c_{k-1} p^(k-1) in 0..q-1.
@@ -230,6 +289,11 @@ class FiniteField:
         return field
 
     def _build(self) -> tuple[array, array, array]:
+        """The field's tables, read from ``_TABLES`` or tabulated (see ``_memo``), and kept on the field."""
+        self._tables = _memo(_TABLES, (self.p, self.k, self.modulus.coeffs), self._tabulate)
+        return self._tables
+
+    def _tabulate(self) -> tuple[array, array, array]:
         """exp (twice over), log and Zech tables (1 + g^n = g^zech[n], or 0
         where zech[n] = -1) of a primitive g.  Walking zmul, z times every
         code, gives <z> of order r and index s; the first u in code order
@@ -239,9 +303,6 @@ class FiniteField:
         The tables are shared through ``_TABLES`` and never written after this.
         """
         p, k, q = self.p, self.k, self.size
-        if (tables := _TABLES.pop(key := (p, k, self.modulus.coeffs), None)) is not None:
-            self._tables = _TABLES[key] = tables  # back in as the most recently used
-            return tables
         m, fp, f = q - 1, FiniteField._prime(p), list(self.modulus.coeffs)
         zmul: list[int] = []
         for c in range(p):  # z*(a + c z^(k-1)) = z*a - c*(f - z^k) for every a < p^(k-1)
@@ -272,13 +333,7 @@ class FiniteField:
         for n, x in enumerate(exp):
             log[x] = n
         exp += exp
-        zech = array("l", (log[x + 1 if x % p < p - 1 else x + 1 - p] for x in exp[:m]))
-        self._tables = (exp, log, zech)
-        if q <= _TABLE_CAP:  # a larger field's tables are built every time, never kept
-            _TABLES[key] = self._tables
-            while sum(len(t[1]) for t in _TABLES.values()) > _TABLE_CAP:
-                del _TABLES[next(iter(_TABLES))]
-        return self._tables
+        return exp, log, array("l", (log[x + 1 if x % p < p - 1 else x + 1 - p] for x in exp[:m]))
 
     def from_int(self, n: int) -> int:
         return n % self.p
@@ -563,10 +618,13 @@ def _fibres(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: 
     """(v, size, fibres), the walk shared by counting and enumeration; checks arity and budget (q^n) first.
 
     The variable y = x_v of least degree stays symbolic: one pass splits each polynomial into sum_j c_j y^j
-    (y^q = y on F_q, so j < q), one MultiPoly c_j per j with summed integer coefficients.  For each value
-    rest of the other variables, in product order, fibres yields rest and the monic gcd g over arith of the
-    specialised polynomials, [] if all vanish; size is ``_fibre_size`` bound to (field, arith, mask), mask
-    ``_trace_mask(arith)`` once per walk if p = 2.  In one variable arith is F_p inside F_q (no F_q table).
+    (y^q = y on F_q, so j < q), one MultiPoly c_j per j with summed integer coefficients.  fibres yields
+    (rest, weight, g) for one value rest of the other variables per Frobenius orbit (``_orbit_points``),
+    weight the orbit's size and g the monic gcd over arith of the specialised polynomials, [] if all
+    vanish.  The c_j have integer coefficients, so the fibre over rest^p is the p-th power of the fibre over
+    rest: every point of the orbit has a fibre of g's size.  size is ``_fibre_size`` bound to (field,
+    arith, mask), mask ``_trace_mask(arith)`` once per walk if p = 2.  In one variable arith is F_p inside
+    F_q (no F_q table).
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
@@ -585,12 +643,12 @@ def _fibres(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: 
     arith = field if nvars > 1 else FiniteField._prime(field.p)
     size = functools.partial(_fibre_size, field, arith, _trace_mask(arith) if field.p == 2 else 0)
 
-    def walk() -> Iterator[tuple[tuple[int, ...], list]]:
-        for rest in itertools.product(field.elements(), repeat=nvars - 1):
+    def walk() -> Iterator[tuple[tuple[int, ...], int, list]]:
+        for rest, weight in _orbit_points(field, nvars - 1):
             point, g = rest[:v] + (0,) + rest[v:], []
             for cs in coeffs:
                 g = _fgcd(arith, g, _ftrim(arith, [c.evaluate(arith, point) for c in cs]))
-            yield rest, g
+            yield rest, weight, g
 
     return v, size, walk()
 
@@ -632,12 +690,14 @@ def _fibre_size(field: FiniteField, arith: FiniteField, mask: int, g: list) -> i
 
 def iter_affine_solutions(polys: Sequence[MultiPoly], nvars: int, field: FiniteField,
                           budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[tuple[int, ...]]:
-    """Yield every point of the affine vanishing locus, fibre by fibre (see ``_fibres``): in each,
-    the y in code order, all of F_q if g = [], else the roots of g by a Horner scan that stops at
-    the fibre's size (or deg g).  Refuses q^n past the budget."""
+    """Yield every point of the affine vanishing locus once, Frobenius orbit by orbit (see ``_fibres``).
+    Each representative fibre is scanned once: the y in code order, all of F_q if g = [], else the roots
+    of g by a Horner scan that stops at the fibre's size (or deg g).  Each point found is followed by its
+    weight - 1 images under x -> x^p, coordinatewise: the points over the rest of the orbit.  Refuses
+    q^n past the budget."""
     v, size, fibres = _fibres(polys, nvars, field, budget)
-    add, mul = field.add, field.mul
-    for rest, g in fibres:
+    add, mul, p = field.add, field.mul, field.p
+    for rest, weight, g in fibres:
         left = size(g) if len(g) <= 3 else len(g) - 1
         for y in field.elements():
             if not left:
@@ -647,12 +707,16 @@ def iter_affine_solutions(polys: Sequence[MultiPoly], nvars: int, field: FiniteF
                 acc = add(mul(acc, y), c)
             if not acc:
                 left -= 1
-                yield rest[:v] + (y,) + rest[v:]
+                point = rest[:v] + (y,) + rest[v:]
+                yield point
+                for _ in range(weight - 1):
+                    point = tuple(field.pow(x, p) for x in point)
+                    yield point
 
 
 def count_affine_points(polys: Sequence[MultiPoly], nvars: int, field: FiniteField,
                         budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """Number of solutions of the system over the field: the fibre sizes of ``_fibres``
-    summed.  The budget caps q^n, the size of the searched space."""
+    """Number of solutions of the system over the field: the fibre sizes of ``_fibres``, each
+    times its orbit's weight, summed.  The budget caps q^n, the size of the searched space."""
     _, size, fibres = _fibres(polys, nvars, field, budget)
-    return sum(size(g) for _, g in fibres)
+    return sum(weight * size(g) for _, weight, g in fibres)

@@ -33,6 +33,7 @@ from .finitefield import (
     FiniteField,
     MultiPoly,
     _charge_budget,
+    _frobenius_orbits,
     count_affine_points,
     is_prime,
     iter_affine_solutions,
@@ -370,8 +371,10 @@ def base_change(counts: PointCounts, r: int) -> PointCounts:
 
 def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int) -> int:
     """The number of affine points of the curve over the field.  q is odd, so over x lie 1 point if
-    f(x) = x (x^2 + a) + b is 0, 2 if l = log_g f(x) is even and none if l is odd; f(x) is read in
-    logs off the field's tables, or over F_p on residues with a table of squares."""
+    f(x) = x (x^2 + a) + b is 0, 2 if l = log_g f(x) is even and none if l is odd.  Over F_p f(x) is a
+    residue, read with a table of squares.  Over F_q it is read in logs off the field's tables at x = 0
+    and at one x per Frobenius orbit (``_frobenius_orbits``), counted times the orbit's size: a and b
+    lie in F_p, so f(x^p) = f(x)^p, and p is odd, so log f(x^p) = p l mod (q - 1) has l's parity."""
     _charge_budget(2 * field.size, budget)
     p, m = field.p, field.size - 1
     a, b = spec.a % p, spec.b % p
@@ -383,7 +386,7 @@ def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int
     _, log, zech = field._tables or field._build()
     la, lb = log[a], log[b]  # -1 for a zero coefficient, as log[0] = -1
     count = 1 if lb < 0 else 0 if lb % 2 else 2  # x = 0, where f(x) = b
-    for lx in range(m):  # x = g^lx, the nonzero x
+    for lx, size in zip(*_frobenius_orbits(p, field.k, 1)):  # x = g^lx, one nonzero x per orbit
         if la < 0:  # s = log(x^2 + a), -1 for 0, by a Zech add
             s = 2 * lx
         else:
@@ -394,7 +397,7 @@ def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int
             l = lx + s
         else:
             l = lb + n if (n := zech[(lx + s - lb) % m]) >= 0 else -1
-        count += 1 if l < 0 else 0 if l % 2 else 2
+        count += size if l < 0 else 0 if l % 2 else 2 * size
     return count
 
 

@@ -97,6 +97,41 @@ def test_witt_teich_requires_precision(capsys):
     assert json.loads(err)["error"]["code"] == "malformed-input"
 
 
+def test_witt_ghost_and_unghost_truncate_to_the_precision(capsys):
+    vector = '{"precision":3,"coeffs":[1,2,3]}'
+    full = run_json(capsys, "witt", "ghost", "--witt", vector)
+    assert run_json(capsys, "witt", "ghost", "--witt", vector, "-N", "1") == {"precision": 1, "ghost": full["ghost"][:1]}
+    assert run_json(capsys, "witt", "ghost", "--witt", vector, "-N", "5") == full
+    assert run_json(capsys, "witt", "unghost", "--ghost", "[3,9,27]", "-N", "1") == {"precision": 1, "coeffs": ["3"]}
+    assert run_json(capsys, "witt", "unghost", "--ghost", json.dumps(full), "-N", "2") == \
+        {"precision": 2, "coeffs": ["1", "2"]}
+
+
+WITT = '{"precision":3,"coeffs":[1,2,3]}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["unghost", "--ghost", "[3,9,27]", "-N", "1", "--teich", "5"],
+         "unghost reads --ghost coordinates only, no --teich or --witt operand"),
+        (["unghost", "--ghost", "[3,9,27]", "--witt", WITT],
+         "unghost reads --ghost coordinates only, no --teich or --witt operand"),
+        (["add", "--witt", WITT, "--witt", WITT, "-n", "3"], "-n is the Frobenius index of frob; add takes none"),
+        (["ghost", "--witt", WITT, "-n", "1"], "-n is the Frobenius index of frob; ghost takes none"),
+        (["unghost", "--ghost", "[3,9,27]", "-n", "2"], "-n is the Frobenius index of frob; unghost takes none"),
+        (["neg", "--witt", WITT, "--ghost", "[1]"], "--ghost coordinates are read by unghost only, not by neg"),
+        (["frob", "-n", "2", "--witt", WITT, "--ghost", "[1]"],
+         "--ghost coordinates are read by unghost only, not by frob"),
+    ],
+    ids=["unghost-teich", "unghost-witt", "add-index", "ghost-index", "unghost-index", "neg-ghost", "frob-ghost"],
+)
+def test_witt_refuses_a_flag_the_operation_does_not_read(capsys, argv, message):
+    code, out, err = run_cli(capsys, "witt", *argv)
+    assert_one_malformed_input_line(code, out, err)
+    assert json.loads(err)["error"]["message"] == message
+
+
 # --- zeta, sym, series ---
 
 

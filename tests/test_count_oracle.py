@@ -15,7 +15,9 @@ of linear forms, which have many and repeated roots.  The fibre sizes of
 degree 1 and 2 are checked on their own against a scan over F_q, with the
 gcd over F_q itself (m = 1) or over F_p inside F_q = F_(p^k) (m = k).  The
 walk's split is checked to build one MultiPoly per polynomial and y-degree,
-with integer coefficients merged (y^q folded into y, sums that vanish mod p).
+with integer coefficients merged (y^q folded into y, sums that vanish mod p),
+and the walk to evaluate them once per Frobenius orbit of the other variables
+(tests/test_orbit_oracle.py compares it with the product-order walk).
 
 The routes that work on residues and on the field's exp/log/Zech tables
 are checked against the ``FiniteField`` method-call routes they replaced:
@@ -235,7 +237,25 @@ def test_fibres_builds_one_multipoly_per_polynomial_and_y_degree(monkeypatch):
     assert v == 0
     assert built == [{(0, 0): 1}, {(0, 1): 2}, {(0, 4): 1, (0, 1): -1}, {}, {(0, 0): -1}]
     monkeypatch.undo()
-    assert sum(size(g) for _, g in fibres) == len(points_by_evaluation(polys, 2, field))
+    assert sum(weight * size(g) for _, weight, g in fibres) == len(points_by_evaluation(polys, 2, field))
+
+
+def test_genus_two_curve_over_f4096_evaluates_once_per_orbit(monkeypatch):
+    """y^2 + y = x^5 + x over F_(2^12): 352 orbits of x, 3 coefficient polynomials c_0, c_1, c_2 of y
+    each, so 1,056 evaluations where a walk over every x makes 12,288."""
+    polys = [parse_polynomial("y^2 + y - x^5 - x", ("x", "y"))]
+    field, calls, evaluate = field_of(2, 12), [], MultiPoly.evaluate
+
+    def counted(self, *args):
+        calls.append(1)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", counted)
+    assert count_affine_points(polys, 2, field) == 4096
+    assert len(calls) == 1056
+    calls.clear()
+    assert sum(1 for _ in iter_affine_solutions(polys, 2, field)) == 4096
+    assert len(calls) == 1056
 
 
 # --- fibre sizes of degree 1 and 2, against a scan over F_q ---
