@@ -2,9 +2,12 @@
 
 For an integer a, sigma_t(a) = (1-t)^(-a), whose n-th coefficient is the
 binomial coefficient C(a+n-1, n).  For a polynomial f over the integers,
-sigma_t sends f to f([z]) evaluated on the Teichmueller lift [z], i.e. a
-signed product of factors (1 - z^i t)^(-c_i).  Both land in Witt rings, so
-"sums of symmetric powers" literally are Witt sums here.
+sigma_t sends f to f([z]), f evaluated on the Teichmueller lift [z], i.e. a
+signed product of factors (1 - z^i t)^(-c_i).  The ghost coordinates of [z]
+are z, z^2, z^3, ... and the ghost map is a ring map, so f([z]) is the Witt
+vector whose n-th ghost coordinate is f(z^n); it is built from those
+coordinates by one ghost inversion.  Both land in Witt rings, so "sums of
+symmetric powers" literally are Witt sums here.
 
 ``sigma_witt`` extends the map to Witt vectors themselves: sigma_u(P) is
 the element of W_M(W(A)) whose n-th outer ghost coordinate is the n-th
@@ -23,18 +26,7 @@ from typing import Sequence
 
 from .errors import PrecisionError
 from .rings import IntPolynomial, Ring, TruncatedSeries, ZPOLY, ZZ
-from .witt import (
-    GhostVector,
-    WittRing,
-    WittVector,
-    frobenius,
-    ghost_inverse,
-    map_coefficients,
-    teichmuller,
-    witt_add,
-    witt_scale,
-    witt_zero,
-)
+from .witt import GhostVector, WittRing, WittVector, frobenius, ghost_inverse, map_coefficients
 
 
 def sigma_int(a: int, prec: int) -> WittVector:
@@ -45,17 +37,17 @@ def sigma_int(a: int, prec: int) -> WittVector:
 def sigma_poly(f: IntPolynomial | int, prec: int) -> WittVector:
     """sigma_t(f) = f([z]) over ZZ[z]: the product of (1 - z^i t)^(-c_i).
 
-    Teichmueller lifts are multiplicative, so evaluating f on [z] is the
-    Witt sum over monomials of c_i copies of [z^i].
+    Its n-th ghost coordinate is f(z^n), f with the coefficient of z^i moved
+    to z^(i*n); the result is the ghost inversion of f(z), ..., f(z^prec)
+    and keeps those coordinates.
     """
     f = ZPOLY.check(f)
-    acc = witt_zero(ZPOLY, prec)
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        lift = teichmuller(IntPolynomial.variable(i), prec, ZPOLY)
-        acc = witt_add(acc, witt_scale(lift, c))
-    return acc
+    ghosts = []
+    for n in range(1, prec + 1):
+        spread = [0] * (n * f.degree + 1)
+        spread[::n] = f.coeffs
+        ghosts.append(IntPolynomial(spread))
+    return ghost_inverse(GhostVector(ZPOLY, ghosts))
 
 
 def lambda_from_sigma(s: WittVector) -> TruncatedSeries:
@@ -87,12 +79,12 @@ def sigma_witt(p: WittVector, outer_prec: int) -> WittVector:
 
 
 def macdonald_poincare(betti: Sequence[int], prec: int) -> WittVector:
-    """The Witt measure of a space with the given Betti numbers.
+    """The Witt measure of a space with the given Betti numbers, in W_prec(ZZ[z]).
 
-    Sends (b0, b1, ..., bd) to the alternating Witt sum of bi copies of
-    [z^i] in W(ZZ[z]); its n-th ghost coordinate is the Poincare polynomial
-    evaluated at z^n, and specializing z to 1 recovers sigma_t applied to
-    the Euler characteristic.
+    Sends (b0, b1, ..., bd) to sigma_poly of the signed Poincare polynomial
+    P(z) = b0 - b1*z + b2*z^2 - ...: the alternating Witt sum of bi copies of
+    [z^i].  Its n-th ghost coordinate is P(z^n), and specializing z to 1
+    recovers sigma_t applied to the Euler characteristic P(1).
     """
     f = IntPolynomial(tuple(-b if i & 1 else b for i, b in enumerate(betti)))
     return sigma_poly(f, prec)

@@ -40,7 +40,8 @@ from .finitefield import (
     parse_polynomial,
     prime_power_decompose,
 )
-from .rings import ZZ, TruncatedSeries, binary_power
+from .rings import binary_power
+from .sigma import sigma_int
 
 Point = tuple[int, ...]
 
@@ -223,12 +224,12 @@ def closed_point_degree_counts(counts: PointCounts, dmax: int) -> tuple[int, ...
 def euler_product(closed: Sequence[int], prec: int) -> list[int]:
     """t^0..t^prec of prod_d (1 - t^d)^(-a_d), a_d = closed[d-1]: the Euler product over closed points.
 
-    Each factor (1 - t)^(-a_d) comes to degree prec // d from ``pow_int``'s power recurrence
-    (``sigma_int``'s call) however large a_d is, and is multiplied in at the terms t^(dk) only."""
+    Each factor (1 - t)^(-a_d) is ``sigma_int(a_d, prec // d)``, one power recurrence however
+    large a_d is, and is multiplied in at the terms t^(dk) only."""
     series = [1] + [0] * prec
     for d, a_d in enumerate(closed[:prec], start=1):
         if a_d:
-            f = TruncatedSeries(ZZ, (1, -1) + (0,) * (prec // d - 1)).pow_int(-a_d).coeffs
+            f = sigma_int(a_d, prec // d).series.coeffs
             for m in range(prec, d - 1, -1):  # downward, so series[m - d*k] is still the old product
                 series[m] += sum(f[k] * series[m - d * k] for k in range(1, m // d + 1))
     return series

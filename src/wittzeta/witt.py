@@ -104,7 +104,7 @@ class WittVector:
     def __sub__(self, other: "WittVector") -> "WittVector":
         if not isinstance(other, WittVector):
             return NotImplemented
-        return witt_add(self, witt_neg(other))
+        return witt_sub(self, other)
 
     def __mul__(self, other: "WittVector") -> "WittVector":
         if not isinstance(other, WittVector):
