@@ -53,6 +53,7 @@ from .varieties import (
     PointCounts,
     ProductSpec,
     ProjectiveSpace,
+    SymPower,
     VarietySpec,
     base_change,
     brute_sym_count,
@@ -62,6 +63,7 @@ from .varieties import (
     point_count_by_enumeration,
     point_counts,
     spec_field_size,
+    sym_power_counts,
 )
 from .witt import (
     GhostVector,
@@ -87,7 +89,6 @@ from .zeta import (
     mobius,
     rational_reconstruct,
     spec_zeta,
-    sym_power_counts,
     sym_zeta,
     zeta_from_counts,
     zeta_generating_series,

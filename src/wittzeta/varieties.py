@@ -8,7 +8,8 @@ user-supplied count tables verbatim.  An elliptic num needs the trace over
 F_p: up to p = 229 from the affine points counted over F_p, above it from a
 baby-step giant-step search on the twists of E by the values f(x), which
 stops only when one value of #E is left in the Hasse interval, so it is
-exact; Mestre's theorem makes it stop.
+exact; Mestre's theorem makes it stop.  ``SymPower(X, n)`` is counted off X's
+closed form by Macdonald's formula, else by ghost inversion of X's counts.
 
 The module also hosts the enumeration oracle for symmetric powers: count
 the points over F_{q^{rd}} for d = 1..dmax (an elliptic curve by the parity
@@ -40,8 +41,9 @@ from .finitefield import (
     parse_polynomial,
     prime_power_decompose,
 )
-from .rings import binary_power
+from .rings import ZZ, binary_power
 from .sigma import sigma_int
+from .witt import GhostVector, ghost_inverse
 
 Point = tuple[int, ...]
 
@@ -157,7 +159,24 @@ class EquationsSpec:
         return self.p
 
 
-VarietySpec = Union[AffineSpace, ProjectiveSpace, EllipticCurve, ProductSpec, CountsSpec, EquationsSpec]
+@dataclass(frozen=True)
+class SymPower:
+    """The n-th symmetric power Sym^n of a variety, over the variety's base field."""
+
+    spec: "VarietySpec"
+    n: int
+
+    def __post_init__(self):
+        spec_field_size(self.spec)
+        if self.n < 0:
+            raise SpecError("symmetric power index must be nonnegative")
+
+    @property
+    def q(self) -> int:
+        return self.spec.q
+
+
+VarietySpec = Union[AffineSpace, ProjectiveSpace, EllipticCurve, ProductSpec, CountsSpec, EquationsSpec, SymPower]
 
 
 def spec_field_size(spec: VarietySpec) -> int:
@@ -233,6 +252,25 @@ def euler_product(closed: Sequence[int], prec: int) -> list[int]:
             for m in range(prec, d - 1, -1):  # downward, so series[m - d*k] is still the old product
                 series[m] += sum(f[k] * series[m - d * k] for k in range(1, m // d + 1))
     return series
+
+
+def sym_power_counts(counts: PointCounts, n: int, rmax: int) -> PointCounts:
+    """Point counts of Sym^n X over F_{q^r} for r = 1..rmax.
+
+    The r-th count is the degree-n coefficient of Z(X/F_{q^r}, t), read
+    off by ghost-inverting the subsampled counts (N_r, N_2r, ..., N_nr);
+    it therefore needs the counts of X out to range n*rmax, which pass
+    the closed-point test first.
+    """
+    if n < 0:
+        raise ValueError("symmetric power index must be nonnegative")
+    if rmax < 1:
+        raise ValueError("count range must be at least 1")
+    if n == 0:
+        return PointCounts(counts.q, (1,) * rmax)
+    closed_point_degree_counts(counts, n * rmax)
+    subsamples = (counts.counts[r - 1 : n * r : r] for r in range(1, rmax + 1))
+    return PointCounts(counts.q, tuple(ghost_inverse(GhostVector(ZZ, sub)).coefficient(n) for sub in subsamples))
 
 
 def _ec_add(u: Point | None, v: Point | None, a: int, p: int) -> Point | None:
@@ -329,26 +367,33 @@ def closed_form(spec: VarietySpec, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[t
 def point_counts(spec: VarietySpec, rmax: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointCounts:
     """N_1..N_rmax for the given variety, exactly.
 
-    A closed form gives N_r = sum_{lo<=i<=hi} q^(ir) - s_r, s_r the power sum of the
-    reciprocal roots of num = 1 + c_1 t + c_2 t^2 (s_0 = deg num, s_1 = -c_1,
-    s_r = -c_1 s_(r-1) - c_2 s_(r-2)), checked against the Weil bound
-    s_r^2 <= (deg num)^2 q^r at every r."""
+    A closed form num(t) / prod_{lo<=i<=hi} (1 - q^i t) gives Sym^n X (X itself is n = 1) by Macdonald's formula,
+    Z(X/F_{q^r}, u) = (1 - s_r u + c_2^r u^2) / prod_i (1 - q^(ir) u): N_r = h_n - s_r h_(n-1) + c_2^r h_(n-2),
+    h_m the complete homogeneous sums of the q^(ir), in O(n (hi - lo + 1)) steps per r.  s_r is the power sum of
+    the reciprocal roots of num = 1 + c_1 t + c_2 t^2 (s_0 = deg num, s_1 = -c_1, s_r = -c_1 s_(r-1) - c_2 s_(r-2)),
+    checked against the Weil bound s_r^2 <= (deg num)^2 q^r at every r.  Sym^n of any other X reads X's counts
+    to range n*rmax through ``sym_power_counts``."""
     if rmax < 1:
         raise ValueError("count range must be at least 1")
-    if (form := closed_form(spec, budget)) is not None:
+    base, n = (spec.spec, spec.n) if isinstance(spec, SymPower) else (spec, 1)
+    if (form := closed_form(base, budget) if n else ((1,), 0, 0)) is not None:  # Sym^0 X is a point, A^0
         num, lo, hi = form
         c1, c2 = (num + (0, 0))[1:3]
         deg, q, qr, counts = len(num) - 1, spec.q, 1, []
-        s_prev, s = deg, -c1
+        s_prev, s, c2r = deg, -c1, 1
         for r in range(1, rmax + 1):
-            qr *= q
+            qr, c2r = qr * q, c2r * c2
             if s * s > deg * deg * qr:
                 raise InconsistentCountsError(f"Weil bound violated at r={r}: |trace| exceeds {deg}*q^(r/2)")
-            total = 0
+            h, x = [0, 0, 1] + [0] * n, qr**lo  # 0, 0, then h_0..h_n, one q^(ir) = x added at a time
             for _ in range(hi - lo + 1):
-                total = total * qr + 1
-            counts.append(total * qr**lo - s)
+                for m in range(3, n + 3):
+                    h[m] += x * h[m - 1]
+                x *= qr
+            counts.append(h[-1] - s * h[-2] + c2r * h[-3])
             s_prev, s = s, -c1 * s - c2 * s_prev
+    elif isinstance(spec, SymPower):
+        counts = sym_power_counts(point_counts(base, n * rmax, budget), n, rmax).counts
     elif isinstance(spec, ProductSpec):
         counts = tuple(map(math.prod, zip(*(point_counts(f, rmax, budget).counts for f in spec.factors))))
     elif isinstance(spec, CountsSpec):

@@ -17,10 +17,11 @@ curves: it expands their ``varieties.closed_form``, num(t) * prod_{lo<=i<=hi}
 1/(1 - q^i t), in O(N) steps, and ``rational_reconstruct`` recovers num/den
 by Berlekamp-Massey over ZZ.
 
-Symmetric powers ride on the same recursion: the r-th count of Sym^n X is
-the degree-n series coefficient obtained by ghost-inverting the subsampled
-counts (N_r, N_2r, ..., N_nr).  Applying the Witt-level sigma operation to
-Z(X, t) then packages every symmetric power at once:
+Symmetric powers ride on the same inversion: ``sym_zeta`` inverts the counts
+of ``varieties.SymPower(X, n)``, which Macdonald's formula reads off X's closed
+form, or else the ghost inversions of X's counts (N_r, N_2r, ..., N_nr) give.
+Applying the Witt-level sigma operation to Z(X, t) then packages every
+symmetric power at once:
 ``zeta_generating_series`` returns sigma_u(Z) in W_M(W_N(ZZ)), whose u^n
 coefficient equals Z(Sym^n X, t).
 """
@@ -35,7 +36,8 @@ from .errors import PrecisionError, ReconstructionError
 from .finitefield import DEFAULT_ENUM_BUDGET
 from .rings import IntPolynomial, TruncatedSeries, ZZ
 from .sigma import sigma_witt
-from .varieties import PointCounts, VarietySpec, closed_form, closed_point_degree_counts, euler_product, point_counts
+from .varieties import PointCounts, SymPower, VarietySpec, closed_form, closed_point_degree_counts, euler_product
+from .varieties import point_counts, sym_power_counts  # noqa: F401 (sym_power_counts is re-exported)
 from .witt import GhostVector, WittVector, ghost_inverse, witt_one
 
 
@@ -96,37 +98,18 @@ def euler_product_zeta(counts: PointCounts, prec: int) -> WittVector:
     return WittVector(TruncatedSeries(ZZ, euler_product(closed_point_degree_counts(counts, prec), prec)))
 
 
-def sym_power_counts(counts: PointCounts, n: int, rmax: int) -> PointCounts:
-    """Point counts of Sym^n X over F_{q^r} for r = 1..rmax.
-
-    The r-th count is the degree-n coefficient of Z(X/F_{q^r}, t), read
-    off by ghost-inverting the subsampled counts (N_r, N_2r, ..., N_nr);
-    it therefore needs the counts of X out to range n*rmax, which pass
-    the closed-point test first.
-    """
-    if n < 0:
-        raise ValueError("symmetric power index must be nonnegative")
-    if rmax < 1:
-        raise ValueError("count range must be at least 1")
-    if n == 0:
-        return PointCounts(counts.q, (1,) * rmax)
-    closed_point_degree_counts(counts, n * rmax)
-    subsamples = (counts.counts[r - 1 : n * r : r] for r in range(1, rmax + 1))
-    return PointCounts(counts.q, tuple(ghost_inverse(GhostVector(ZZ, sub)).coefficient(n) for sub in subsamples))
-
-
 def sym_zeta(
     spec: VarietySpec, n: int, prec: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> WittVector:
-    """Z(Sym^n X, t) to precision N; consumes counts of X to range n*N."""
+    """Z(Sym^n X, t) to precision N: ``zeta_from_counts`` of ``point_counts(SymPower(X, n), N)``, which
+    reads X's closed form by Macdonald's formula, or else X's counts to range n*N (``sym_power_counts``)."""
     if n < 0:
         raise ValueError("symmetric power index must be nonnegative")
     if prec < 1:
         raise ValueError("precision must be at least 1")
     if n == 0:
         return witt_one(ZZ, prec)
-    counts = point_counts(spec, n * prec, budget)
-    return zeta_from_counts(sym_power_counts(counts, n, prec), prec)
+    return zeta_from_counts(point_counts(SymPower(spec, n), prec, budget), prec)
 
 
 def zeta_generating_series(
