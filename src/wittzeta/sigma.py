@@ -61,7 +61,10 @@ def sigma_witt(p: WittVector, outer_prec: int) -> WittVector:
     The n-th outer ghost coordinate is F_n(P); Frobenius divides precision
     by n, so the inner precision N' is what survives all of F_1..F_M, and
     F_n needs P only up to degree n*N'.  Requires N >= M so that N' >= 1.
-    One ghost map of P serves all F_n, read off the prefixes its truncations carry.
+    Each F_n is an unrealized slice of P's ghosts (one ghost map, none when P
+    is unrealized), so the outer Newton step adds and multiplies ghost vectors
+    pointwise; ``WittRing.divide_exact`` realizes each sum once, and every
+    coefficient of the result is realized.
     """
     if outer_prec < 1:
         raise ValueError("outer precision must be at least 1")

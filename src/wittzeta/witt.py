@@ -20,6 +20,11 @@ with exact division by positive integers (``wittzeta.rings.Ring.divide_exact``).
 n-th root of the series), so the whole construction nests: Witt vectors
 over W_M(A) work with no extra code, and equality, multiplication and
 ghost coordinates all recurse through the same handful of primitives.
+
+A vector may also be unrealized, known by its ghost vector alone (those of
+an integral vector, so realizing it cannot raise).  Sums, products,
+Frobenius images and truncations with an unrealized operand stay pointwise
+and unrealized; realized operands give realized results, eagerly.
 """
 
 from __future__ import annotations
@@ -44,15 +49,29 @@ class WittVector:
     of carrying vectors carry ghost coordinates from birth, never set later.
     """
 
-    __slots__ = ("series", "_ghost")
+    __slots__ = ("_series", "_ghost")
 
     def __init__(self, series: TruncatedSeries):
         if series.prec < 1:
             raise ValueError("a Witt vector needs precision at least 1")
         if not series.ring.eq(series.coeffs[0], series.ring.one):
             raise ValueError("a Witt vector is a series with constant term 1")
-        self.series = series
+        self._series = series
         self._ghost = None
+
+    @classmethod
+    def _unrealized(cls, g: "GhostVector") -> "WittVector":
+        """The vector with ghost coordinates g, which must be those of an integral vector."""
+        v = object.__new__(cls)
+        v._series, v._ghost = None, g
+        return v
+
+    @property
+    def series(self) -> TruncatedSeries:
+        """The series; an unrealized vector makes it by ``ghost_inverse`` on the first read and keeps it."""
+        if self._series is None:
+            self._series = ghost_inverse(self._ghost)._series
+        return self._series
 
     @classmethod
     def from_coeffs(cls, ring: Ring, coeffs: Sequence[Element]) -> "WittVector":
@@ -61,11 +80,11 @@ class WittVector:
 
     @property
     def ring(self) -> Ring:
-        return self.series.ring
+        return (self._ghost if self._series is None else self._series).ring
 
     @property
     def prec(self) -> int:
-        return self.series.prec
+        return (self._ghost if self._series is None else self._series).prec
 
     @property
     def coeffs(self) -> tuple:
@@ -80,9 +99,12 @@ class WittVector:
             raise ValueError("precision must be at least 1")
         if prec == self.prec:
             return self
-        v = WittVector(self.series.truncate(prec))
         # the ghost map is triangular: the first prec coordinates are the truncation's
-        return v if self._ghost is None else v._born_with(GhostVector(self.ring, self._ghost.coords[:prec]))
+        g = None if self._ghost is None else GhostVector._make(self.ring, self._ghost.coords[:prec])
+        if self._series is None and prec < self.prec:
+            return WittVector._unrealized(g)
+        v = WittVector(self.series.truncate(prec))
+        return v if g is None else v._born_with(g)
 
     def _born_with(self, g: "GhostVector") -> "WittVector":
         """Record g as the ghost coordinates of this vector, which is being made here."""
@@ -90,8 +112,8 @@ class WittVector:
         return self
 
     def with_ghost(self) -> "WittVector":
-        """A copy that carries its ghost coordinates: one ghost map, unless this vector has them."""
-        return WittVector(self.series)._born_with(ghost(self))
+        """This vector unrealized, known by its ghost coordinates: one ghost map, unless it has them."""
+        return self if self._series is None else WittVector._unrealized(ghost(self))
 
     def __add__(self, other: "WittVector") -> "WittVector":
         if not isinstance(other, WittVector):
@@ -144,6 +166,13 @@ class GhostVector:
         self.ring = ring
         self.coords = cs
 
+    @classmethod
+    def _make(cls, ring: Ring, coords: tuple) -> "GhostVector":
+        """Construct without re-validating coordinates (internal fast path)."""
+        g = object.__new__(cls)
+        g.ring, g.coords = ring, coords
+        return g
+
     @property
     def prec(self) -> int:
         return len(self.coords)
@@ -157,8 +186,7 @@ class GhostVector:
     def _pointwise(self, other: "GhostVector", op: Callable) -> "GhostVector":
         if self.ring != other.ring:
             raise ValueError("ghost vectors live over different rings")
-        n = min(len(self.coords), len(other.coords))
-        return GhostVector(self.ring, tuple(op(a, b) for a, b in zip(self.coords[:n], other.coords[:n])))
+        return GhostVector._make(self.ring, tuple(map(op, self.coords, other.coords)))
 
     def __add__(self, other: "GhostVector") -> "GhostVector":
         if not isinstance(other, GhostVector):
@@ -171,7 +199,7 @@ class GhostVector:
         return self._pointwise(other, self.ring.mul)
 
     def __neg__(self) -> "GhostVector":
-        return GhostVector(self.ring, tuple(self.ring.neg(c) for c in self.coords))
+        return GhostVector._make(self.ring, tuple(map(self.ring.neg, self.coords)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GhostVector):
@@ -207,8 +235,11 @@ def witt_one(ring: Ring, prec: int) -> WittVector:
 
 
 def witt_add(p: WittVector, q: WittVector) -> WittVector:
-    """The series product; born with the pointwise ghost sum when both summands carry ghosts."""
-    s = WittVector(p.series * q.series)
+    """The series product; born with the pointwise ghost sum when both summands carry ghosts.
+    The ghost sum alone, unrealized, when a summand is unrealized."""
+    if p._series is None or q._series is None:
+        return WittVector._unrealized(ghost(p) + ghost(q))
+    s = WittVector(p._series * q._series)
     return s if p._ghost is None or q._ghost is None else s._born_with(p._ghost + q._ghost)
 
 
@@ -231,11 +262,11 @@ def ghost(p: WittVector) -> GhostVector:
     if p._ghost is not None:
         return p._ghost
     ring = p.ring
-    a = p.series.coeffs
+    a = p._series.coeffs
     b = [ring.zero]  # b[n] is the n-th ghost coordinate; b[0] is never read
     for n in range(1, len(a)):
         b.append(ring.neg(_conv(ring, a, b, n, ring.scalar_mul(a[n], -n))))
-    return GhostVector(ring, b[1:])
+    return GhostVector._make(ring, tuple(b[1:]))
 
 
 def ghost_inverse(g: GhostVector) -> WittVector:
@@ -261,10 +292,15 @@ def ghost_inverse(g: GhostVector) -> WittVector:
     return WittVector(TruncatedSeries._make(ring, tuple(a)))._born_with(g)
 
 
+def _from_ghost(g: GhostVector, *operands: WittVector) -> WittVector:
+    """ghost_inverse(g) when every operand is realized, else g unrealized: realized in, realized out."""
+    return ghost_inverse(g) if all(v._series is not None for v in operands) else WittVector._unrealized(g)
+
+
 def witt_mul(p: WittVector, q: WittVector) -> WittVector:
-    """The Witt product, computed through ghost coordinates."""
+    """The Witt product, computed through ghost coordinates; unrealized when a factor is."""
     prec = min(p.prec, q.prec)
-    return ghost_inverse(ghost(p.truncate(prec)) * ghost(q.truncate(prec)))
+    return _from_ghost(ghost(p.truncate(prec)) * ghost(q.truncate(prec)), p, q)
 
 
 def witt_pow(p: WittVector, e: int) -> WittVector:
@@ -274,15 +310,15 @@ def witt_pow(p: WittVector, e: int) -> WittVector:
     if e == 0:
         return witt_one(p.ring, p.prec)
     g = ghost(p)
-    powered = GhostVector(p.ring, tuple(binary_power(c, e, p.ring.mul, p.ring.one) for c in g.coords))
+    powered = GhostVector._make(p.ring, tuple(binary_power(c, e, p.ring.mul, p.ring.one) for c in g.coords))
     return ghost_inverse(powered)
 
 
 def frobenius(p: WittVector, n: int) -> WittVector:
     """The n-th Frobenius F_n, with gh_m(F_n P) = gh_{mn}(P).
 
-    The output has precision floor(N/n); n larger than the precision is
-    rejected because the result would carry no coefficients at all.
+    The output has precision floor(N/n) and is unrealized when p is; n larger
+    than the precision is rejected because the result would carry no coefficients at all.
     """
     if n < 1:
         raise ValueError("Frobenius index must be a positive integer")
@@ -294,7 +330,7 @@ def frobenius(p: WittVector, n: int) -> WittVector:
             f"Frobenius F_{n} of a precision-{p.prec} vector has precision 0",
             required=n,
         )
-    return ghost_inverse(GhostVector(p.ring, ghost(p).coords[n - 1 : n * out_prec : n]))
+    return _from_ghost(GhostVector._make(p.ring, ghost(p).coords[n - 1 : n * out_prec : n]), p)
 
 
 def map_coefficients(p: WittVector, fn: Callable[[Element], Element], ring: Ring) -> WittVector:
@@ -306,9 +342,9 @@ class WittRing(Ring):
     """W_N(A) as a coefficient ring, so that Witt constructions nest.
 
     Exact division by a positive integer n is the n-th root of the
-    underlying series, which exists exactly when the element is an n-fold
-    Witt sum.  Elements used as coefficients must share this ring's
-    precision; mixed inner precision is rejected by ``check``.
+    underlying series (realized first), which exists exactly when the
+    element is an n-fold Witt sum.  Elements used as coefficients must share
+    this ring's precision; mixed inner precision is rejected by ``check``.
     """
 
     def __init__(self, coeff_ring: Ring, prec: int):
@@ -351,8 +387,8 @@ class WittRing(Ring):
             raise IntegralityError(
                 f"Witt vector is not divisible by {n} in W_{self.prec}", degree=exc.degree
             ) from exc
-        g, ring = x._ghost, self.coeff_ring  # the ghost map is additive: gh(x) = n*gh(y)
-        return y if g is None else y._born_with(GhostVector(ring, [ring.divide_exact(c, n) for c in g.coords]))
+        g, div = x._ghost, self.coeff_ring.divide_exact  # the ghost map is additive: gh(x) = n*gh(y)
+        return y if g is None else y._born_with(GhostVector._make(g.ring, tuple(div(c, n) for c in g.coords)))
 
     def check(self, x: Element) -> WittVector:
         if not isinstance(x, WittVector):

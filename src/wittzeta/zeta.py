@@ -20,8 +20,8 @@ by Berlekamp-Massey over ZZ.
 Symmetric powers ride on the same inversion: ``sym_zeta`` inverts the counts
 of ``varieties.SymPower(X, n)``, which Macdonald's formula reads off X's closed
 form, or else the ghost inversions of X's counts (N_r, N_2r, ..., N_nr) give.
-Applying the Witt-level sigma operation to Z(X, t) then packages every
-symmetric power at once:
+Applying the Witt-level sigma operation to Z(X, t), known by its counts
+alone (an unrealized vector), then packages every symmetric power at once:
 ``zeta_generating_series`` returns sigma_u(Z) in W_M(W_N(ZZ)), whose u^n
 coefficient equals Z(Sym^n X, t).
 """
@@ -118,11 +118,17 @@ def zeta_generating_series(
     """sigma_u(Z(X, t)) in W_M(W_N(ZZ)): all symmetric powers at once.
 
     The u^n coefficient of the result equals Z(Sym^n X, t) to precision N
-    for every n <= M.  Z(X, t) to precision M*N comes from ``spec_zeta``.
+    for every n <= M.  Z(X, t) to precision M*N enters unrealized, by its
+    ghosts: the counts N_1..N_MN from ``point_counts``, once they pass the
+    closed-point test ``zeta_from_counts`` runs, so ``sigma_witt`` works on
+    them pointwise and no series of Z is made.
     """
     if outer_prec < 1 or inner_prec < 1:
         raise ValueError("precisions must be at least 1")
-    return sigma_witt(spec_zeta(spec, outer_prec * inner_prec, budget), outer_prec)
+    prec = outer_prec * inner_prec
+    counts = point_counts(spec, prec, budget)
+    closed_point_degree_counts(counts, prec)
+    return sigma_witt(WittVector._unrealized(GhostVector(ZZ, counts.counts[:prec])), outer_prec)
 
 
 def _divisors(n: int) -> list[int]:
