@@ -8,8 +8,9 @@ user-supplied count tables verbatim.  An elliptic num needs the trace over
 F_p: up to p = 229 from the affine points counted over F_p, above it from a
 baby-step giant-step search on the twists of E by the values f(x), which
 stops only when one value of #E is left in the Hasse interval, so it is
-exact; Mestre's theorem makes it stop.  ``SymPower(X, n)`` is counted off X's
-closed form by Macdonald's formula, else by ghost inversion of X's counts.
+exact; Mestre's theorem makes it stop.  One ``closed_expansion`` of the form
+gives Z(X, t) at Q = q and, by Macdonald's formula, N_r(Sym^n X) as its u^n
+coefficient at Q = q^r; any other ``SymPower(X, n)`` ghost-inverts X's counts.
 
 The module also hosts the enumeration oracle for symmetric powers: count
 the points over F_{q^{rd}} for d = 1..dmax (an elliptic curve by the parity
@@ -354,7 +355,8 @@ def closed_form(spec: VarietySpec, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[t
     """(num, lo, hi) with Z(X, t) = num(t) / prod_{lo<=i<=hi} (1 - q^i t) for A^d, P^d and E, else None.
 
     A^d is 1/(1 - q^d t), P^d is 1/((1 - t)...(1 - q^d t)), and E is
-    (1 - a*t + p*t^2)/((1 - t)(1 - p*t)) with a from ``elliptic_trace``."""
+    (1 - a*t + p*t^2)/((1 - t)(1 - p*t)) with a from ``elliptic_trace``.
+    ``closed_expansion`` is the one reader of this format."""
     if isinstance(spec, AffineSpace):
         return (1,), spec.dim, spec.dim
     if isinstance(spec, ProjectiveSpace):
@@ -364,12 +366,29 @@ def closed_form(spec: VarietySpec, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[t
     return None
 
 
+def closed_expansion(num: Sequence[int], Q: int, lo: int, hi: int, n: int) -> list[int]:
+    """u^0..u^n of num(u) / prod_{lo<=i<=hi} (1 - Q^i u): the one expansion of a ``closed_form``.
+
+    One or two factors (hi - lo <= 1) go into num one at a time, h_k += Q^i h_(k-1), with no division.
+    More are P^d's (d = hi >= 2), by Gaussian quotients h_k = [d+k choose k]_Q = h_(k-1) (Q^(d+k) - 1) /
+    (Q^k - 1): that branch holds for num = 1, lo = 0 only."""
+    h = (list(num) + [0] * n)[: n + 1]
+    if hi - lo <= 1:
+        for c in (Q**i for i in range(lo, hi + 1)):
+            for k in range(1, n + 1):
+                h[k] += c * h[k - 1]
+    else:
+        for k in range(1, n + 1):
+            h[k] = h[k - 1] * (Q ** (hi + k) - 1) // (Q**k - 1)
+    return h
+
+
 def point_counts(spec: VarietySpec, rmax: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointCounts:
     """N_1..N_rmax for the given variety, exactly.
 
-    A closed form num(t) / prod_{lo<=i<=hi} (1 - q^i t) gives Sym^n X (X itself is n = 1) by Macdonald's formula,
-    Z(X/F_{q^r}, u) = (1 - s_r u + c_2^r u^2) / prod_i (1 - q^(ir) u): N_r = h_n - s_r h_(n-1) + c_2^r h_(n-2),
-    h_m the complete homogeneous sums of the q^(ir), in O(n (hi - lo + 1)) steps per r.  s_r is the power sum of
+    A closed form num(t) / prod_{lo<=i<=hi} (1 - q^i t) gives Sym^n X (X itself is n = 1) by Macdonald's
+    formula: N_r(Sym^n X) is the u^n coefficient of Z(X/F_{q^r}, u) = (1 - s_r u + c_2^r u^2) / prod_i
+    (1 - q^(ir) u), the ``closed_expansion`` that ``zeta.spec_zeta`` runs at r = 1.  s_r is the power sum of
     the reciprocal roots of num = 1 + c_1 t + c_2 t^2 (s_0 = deg num, s_1 = -c_1, s_r = -c_1 s_(r-1) - c_2 s_(r-2)),
     checked against the Weil bound s_r^2 <= (deg num)^2 q^r at every r.  Sym^n of any other X reads X's counts
     to range n*rmax through ``sym_power_counts``."""
@@ -385,12 +404,7 @@ def point_counts(spec: VarietySpec, rmax: int, budget: int = DEFAULT_ENUM_BUDGET
             qr, c2r = qr * q, c2r * c2
             if s * s > deg * deg * qr:
                 raise InconsistentCountsError(f"Weil bound violated at r={r}: |trace| exceeds {deg}*q^(r/2)")
-            h, x = [0, 0, 1] + [0] * n, qr**lo  # 0, 0, then h_0..h_n, one q^(ir) = x added at a time
-            for _ in range(hi - lo + 1):
-                for m in range(3, n + 3):
-                    h[m] += x * h[m - 1]
-                x *= qr
-            counts.append(h[-1] - s * h[-2] + c2r * h[-3])
+            counts.append(closed_expansion((1, -s, c2r), qr, lo, hi, n)[n])
             s_prev, s = s, -c1 * s - c2 * s_prev
     elif isinstance(spec, SymPower):
         counts = sym_power_counts(point_counts(base, n * rmax, budget), n, rmax).counts

@@ -60,10 +60,10 @@ class WittVector:
         self._ghost = None
 
     @classmethod
-    def _unrealized(cls, g: "GhostVector") -> "WittVector":
-        """The vector with ghost coordinates g, which must be those of an integral vector."""
-        v = object.__new__(cls)
-        v._series, v._ghost = None, g
+    def _of(cls, series: TruncatedSeries | None, g: "GhostVector | None") -> "WittVector":
+        """A vector the library makes from its series, its ghost coordinates g (an integral vector's), or both."""
+        v = object.__new__(cls) if series is None else cls(series)
+        v._series, v._ghost = series, g
         return v
 
     @property
@@ -101,19 +101,12 @@ class WittVector:
             return self
         # the ghost map is triangular: the first prec coordinates are the truncation's
         g = None if self._ghost is None else GhostVector._make(self.ring, self._ghost.coords[:prec])
-        if self._series is None and prec < self.prec:
-            return WittVector._unrealized(g)
-        v = WittVector(self.series.truncate(prec))
-        return v if g is None else v._born_with(g)
-
-    def _born_with(self, g: "GhostVector") -> "WittVector":
-        """Record g as the ghost coordinates of this vector, which is being made here."""
-        self._ghost = g
-        return self
+        lazy = self._series is None and prec < self.prec
+        return WittVector._of(None if lazy else self.series.truncate(prec), g)
 
     def with_ghost(self) -> "WittVector":
         """This vector unrealized, known by its ghost coordinates: one ghost map, unless it has them."""
-        return self if self._series is None else WittVector._unrealized(ghost(self))
+        return self if self._series is None else WittVector._of(None, ghost(self))
 
     def __add__(self, other: "WittVector") -> "WittVector":
         if not isinstance(other, WittVector):
@@ -236,11 +229,13 @@ def witt_one(ring: Ring, prec: int) -> WittVector:
 
 def witt_add(p: WittVector, q: WittVector) -> WittVector:
     """The series product; born with the pointwise ghost sum when both summands carry ghosts.
-    The ghost sum alone, unrealized, when a summand is unrealized."""
+    The ghost sum alone, unrealized, when a summand is unrealized.  Mixed rings raise first."""
+    if p.ring != q.ring:
+        raise ValueError("Witt vectors live over different rings")
     if p._series is None or q._series is None:
-        return WittVector._unrealized(ghost(p) + ghost(q))
-    s = WittVector(p._series * q._series)
-    return s if p._ghost is None or q._ghost is None else s._born_with(p._ghost + q._ghost)
+        return WittVector._of(None, ghost(p) + ghost(q))
+    g = None if p._ghost is None or q._ghost is None else p._ghost + q._ghost
+    return WittVector._of(p._series * q._series, g)
 
 
 def witt_neg(p: WittVector) -> WittVector:
@@ -289,16 +284,18 @@ def ghost_inverse(g: GhostVector) -> WittVector:
                 f"the Newton step at degree {n} is not divisible by {n}",
                 degree=n,
             ) from exc
-    return WittVector(TruncatedSeries._make(ring, tuple(a)))._born_with(g)
+    return WittVector._of(TruncatedSeries._make(ring, tuple(a)), g)
 
 
 def _from_ghost(g: GhostVector, *operands: WittVector) -> WittVector:
     """ghost_inverse(g) when every operand is realized, else g unrealized: realized in, realized out."""
-    return ghost_inverse(g) if all(v._series is not None for v in operands) else WittVector._unrealized(g)
+    return ghost_inverse(g) if all(v._series is not None for v in operands) else WittVector._of(None, g)
 
 
 def witt_mul(p: WittVector, q: WittVector) -> WittVector:
-    """The Witt product, computed through ghost coordinates; unrealized when a factor is."""
+    """The Witt product through ghost coordinates, unrealized when a factor is; mixed rings raise first."""
+    if p.ring != q.ring:
+        raise ValueError("Witt vectors live over different rings")
     prec = min(p.prec, q.prec)
     return _from_ghost(ghost(p.truncate(prec)) * ghost(q.truncate(prec)), p, q)
 
@@ -382,13 +379,14 @@ class WittRing(Ring):
         if n <= 0:
             raise ValueError("divisor must be a positive integer")
         try:
-            y = WittVector(x.series.nth_root(n))
+            root = x.series.nth_root(n)
         except IntegralityError as exc:
             raise IntegralityError(
                 f"Witt vector is not divisible by {n} in W_{self.prec}", degree=exc.degree
             ) from exc
         g, div = x._ghost, self.coeff_ring.divide_exact  # the ghost map is additive: gh(x) = n*gh(y)
-        return y if g is None else y._born_with(GhostVector._make(g.ring, tuple(div(c, n) for c in g.coords)))
+        g = None if g is None else GhostVector._make(g.ring, tuple(div(c, n) for c in g.coords))
+        return WittVector._of(root, g)
 
     def check(self, x: Element) -> WittVector:
         if not isinstance(x, WittVector):

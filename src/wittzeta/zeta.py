@@ -13,13 +13,14 @@ varieties, whose enumeration oracles use it and ``euler_product`` too;
 counts a_d must be nonnegative integers.  Their integrality is the
 ghost-image criterion, so a table that passes inverts integrally.
 ``spec_zeta`` needs no table for affine and projective spaces and elliptic
-curves: it expands their ``varieties.closed_form``, num(t) * prod_{lo<=i<=hi}
-1/(1 - q^i t), in O(N) steps, and ``rational_reconstruct`` recovers num/den
-by Berlekamp-Massey over ZZ.
+curves: ``varieties.closed_expansion`` expands their ``varieties.closed_form``,
+num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t), in O(N) steps, and
+``rational_reconstruct`` recovers num/den by Berlekamp-Massey over ZZ.
 
-Symmetric powers ride on the same inversion: ``sym_zeta`` inverts the counts
-of ``varieties.SymPower(X, n)``, which Macdonald's formula reads off X's closed
-form, or else the ghost inversions of X's counts (N_r, N_2r, ..., N_nr) give.
+Symmetric powers are one more spec: ``sym_zeta`` is ``spec_zeta`` of
+``varieties.SymPower(X, n)``, which inverts its counts.  Macdonald's formula
+reads them off X's closed form by the same expansion at Q = q^r, or else the
+ghost inversions of X's counts (N_r, N_2r, ..., N_nr) give them.
 Applying the Witt-level sigma operation to Z(X, t), known by its counts
 alone (an unrealized vector), then packages every symmetric power at once:
 ``zeta_generating_series`` returns sigma_u(Z) in W_M(W_N(ZZ)), whose u^n
@@ -36,9 +37,9 @@ from .errors import PrecisionError, ReconstructionError
 from .finitefield import DEFAULT_ENUM_BUDGET
 from .rings import IntPolynomial, TruncatedSeries, ZZ
 from .sigma import sigma_witt
-from .varieties import PointCounts, SymPower, VarietySpec, closed_form, closed_point_degree_counts, euler_product
-from .varieties import point_counts, sym_power_counts  # noqa: F401 (sym_power_counts is re-exported)
-from .witt import GhostVector, WittVector, ghost_inverse, witt_one
+from .varieties import PointCounts, SymPower, VarietySpec, closed_expansion, closed_form, closed_point_degree_counts
+from .varieties import euler_product, point_counts, sym_power_counts  # noqa: F401 (sym_power_counts is re-exported)
+from .witt import GhostVector, WittVector, ghost_inverse
 
 
 def zeta_from_counts(counts: PointCounts, prec: int) -> WittVector:
@@ -50,26 +51,14 @@ def zeta_from_counts(counts: PointCounts, prec: int) -> WittVector:
 
 
 def spec_zeta(spec: VarietySpec, prec: int, budget: int = DEFAULT_ENUM_BUDGET) -> WittVector:
-    """Z(X, t) to precision N: the expansion of ``closed_form`` where there is one, else ``zeta_from_counts``.
-
-    Z = num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t).  One or two factors (A^d, P^0, P^1, E)
-    go into num one at a time, h_k += q^i h_(k-1), with no division; P^d, d >= 2, has
-    [d+k choose k]_q = g_k = g_(k-1) (q^(d+k) - 1) / (q^k - 1) at t^k (lo = 0).
-    ``closed_form`` charges the budget for E's trace."""
+    """Z(X, t) to precision N: ``closed_expansion`` of ``closed_form`` at Q = q where there is one, else
+    ``zeta_from_counts``.  ``closed_form`` charges the budget for E's trace."""
     if prec < 1:
         raise ValueError("precision must be at least 1")
     if (form := closed_form(spec, budget)) is None:
         return zeta_from_counts(point_counts(spec, prec, budget), prec)
     num, lo, hi = form
-    q, h = spec.q, (list(num) + [0] * prec)[: prec + 1]
-    if hi - lo <= 1:
-        for c in (q**i for i in range(lo, hi + 1)):
-            for k in range(1, prec + 1):
-                h[k] += c * h[k - 1]
-    else:
-        for k in range(1, prec + 1):
-            h[k] = h[k - 1] * (q ** (hi + k) - 1) // (q**k - 1)
-    return WittVector(TruncatedSeries(ZZ, h))
+    return WittVector(TruncatedSeries(ZZ, closed_expansion(num, spec.q, lo, hi, prec)))
 
 
 def mobius(n: int) -> int:
@@ -101,15 +90,9 @@ def euler_product_zeta(counts: PointCounts, prec: int) -> WittVector:
 def sym_zeta(
     spec: VarietySpec, n: int, prec: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> WittVector:
-    """Z(Sym^n X, t) to precision N: ``zeta_from_counts`` of ``point_counts(SymPower(X, n), N)``, which
-    reads X's closed form by Macdonald's formula, or else X's counts to range n*N (``sym_power_counts``)."""
-    if n < 0:
-        raise ValueError("symmetric power index must be nonnegative")
-    if prec < 1:
-        raise ValueError("precision must be at least 1")
-    if n == 0:
-        return witt_one(ZZ, prec)
-    return zeta_from_counts(point_counts(SymPower(spec, n), prec, budget), prec)
+    """Z(Sym^n X, t) to precision N: ``spec_zeta`` of ``SymPower(X, n)``, so ``zeta_from_counts`` of its counts,
+    which ``point_counts`` reads off X's closed form by Macdonald's formula, or else off X's counts to range n*N."""
+    return spec_zeta(SymPower(spec, n), prec, budget)
 
 
 def zeta_generating_series(
@@ -128,7 +111,7 @@ def zeta_generating_series(
     prec = outer_prec * inner_prec
     counts = point_counts(spec, prec, budget)
     closed_point_degree_counts(counts, prec)
-    return sigma_witt(WittVector._unrealized(GhostVector(ZZ, counts.counts[:prec])), outer_prec)
+    return sigma_witt(WittVector._of(None, GhostVector(ZZ, counts.counts[:prec])), outer_prec)
 
 
 def _divisors(n: int) -> list[int]:

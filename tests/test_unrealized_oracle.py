@@ -133,6 +133,26 @@ def test_ring_operations_on_unrealized_and_mixed_operands_match_the_eager_route(
         assert witt.ghost(v).coords == ghosts == witt.ghost(fresh(v)).coords
 
 
+@pytest.mark.parametrize("op", [witt_add, witt_mul])
+@pytest.mark.parametrize("p_form", sorted(FORMS))
+@pytest.mark.parametrize("q_form", sorted(FORMS))
+def test_operands_over_different_rings_raise_one_error_before_any_ghost_map(monkeypatch, op, p_form, q_form):
+    p = FORMS[p_form](WittVector.from_coeffs(ZZ, [1, 2, 3]))
+    q = FORMS[q_form](WittVector.from_coeffs(ZPOLY, [IntPolynomial((0, 1)), IntPolynomial((2, 3))]))
+    calls = []
+    real_conv = witt._conv
+
+    def counting_conv(*args):
+        calls.append(args[3])
+        return real_conv(*args)
+
+    monkeypatch.setattr(witt, "_conv", counting_conv)
+    for x, y in ((p, q), (q, p)):
+        with pytest.raises(ValueError, match="^Witt vectors live over different rings$"):
+            op(x, y)
+    assert calls == []
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 @SEEDED
 @given(data=st.data())
@@ -197,7 +217,7 @@ def sigma_witt_eagerly(p: WittVector, outer_prec: int) -> WittVector:
     inner_prec = p.prec // outer_prec
     inner_ring = WittRing(p.ring, inner_prec)
     top = fresh(p.truncate(outer_prec * inner_prec))
-    top = top._born_with(witt.ghost(top))
+    top = WittVector._of(top.series, witt.ghost(top))
     coords = tuple(frobenius(top.truncate(n * inner_prec), n) for n in range(1, outer_prec + 1))
     assert all(map(is_realized, coords))
     return ghost_inverse(GhostVector(inner_ring, coords))
@@ -211,10 +231,14 @@ def generating_series_by_spec_zeta(spec, outer_prec: int, inner_prec: int) -> Wi
 
 
 def test_the_eager_oracle_makes_no_unrealized_vector(monkeypatch):
-    def refuse(cls, g):
-        raise AssertionError("the eager route made an unrealized vector")
+    make = WittVector._of.__func__
 
-    monkeypatch.setattr(WittVector, "_unrealized", classmethod(refuse))
+    def refuse(cls, series, g):
+        if series is None:
+            raise AssertionError("the eager route made an unrealized vector")
+        return make(cls, series, g)
+
+    monkeypatch.setattr(WittVector, "_of", classmethod(refuse))
     series = generating_series_by_spec_zeta(EllipticCurve(5, 1, 1), 4, 3)
     assert series.coefficient(2) == sym_zeta(EllipticCurve(5, 1, 1), 2, 3)
 

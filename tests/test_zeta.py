@@ -17,6 +17,7 @@ from wittzeta.varieties import (
     PointCounts,
     ProductSpec,
     ProjectiveSpace,
+    closed_expansion,
     point_counts,
 )
 from wittzeta.witt import WittVector, ghost, teichmuller, witt_add, witt_one
@@ -287,12 +288,16 @@ def two_factor_specs(draw):
 @given(spec=two_factor_specs(), prec=st.integers(1, 300))
 def test_two_factor_expansion_matches_the_gaussian_quotients(spec, prec):
     if isinstance(spec, AffineSpace):
-        lo, hi, num = spec.dim, spec.dim, (1,)
+        lo, hi, num = spec.dim, spec.dim, lambda r: (1,)
     elif isinstance(spec, ProjectiveSpace):
-        lo, hi, num = 0, spec.dim, (1,)
-    else:
-        lo, hi, num = 0, 1, (1, point_counts(spec, 1).counts[0] - spec.p - 1, spec.p)
-    assert spec_zeta(spec, prec).series.coeffs == closed_form_by_gaussian_quotients(spec.q, lo, hi, num, prec)
+        lo, hi, num = 0, spec.dim, lambda r: (1,)
+    else:  # Z(E/F_(p^r), u) has num_r = 1 - s_r u + p^r u^2, with s_r = p^r + 1 - N_r
+        counts = point_counts(spec, 4)
+        lo, hi, num = 0, 1, lambda r: (1, counts.count(r) - spec.p**r - 1, spec.p**r)
+    assert spec_zeta(spec, prec).series.coeffs == closed_form_by_gaussian_quotients(spec.q, lo, hi, num(1), prec)
+    for r in range(2, 5):  # the kernel at Q = q^r, as Macdonald's formula runs it for Sym^n counts over F_(q^r)
+        expansion = closed_expansion(num(r), spec.q**r, lo, hi, prec)
+        assert tuple(expansion) == closed_form_by_gaussian_quotients(spec.q**r, lo, hi, num(r), prec)
 
 
 def test_spec_zeta_closed_forms_by_hand():
