@@ -122,6 +122,10 @@ def _as_int(value: Any, what: str) -> int:
     raise SpecError(f"{what} must be an integer, got {type(value).__name__}")
 
 
+class _Numerals(list):
+    """A JSON array of _int_to_wire strings, which need no escaping: _emit joins it as it is."""
+
+
 def encode_witt(vector: WittVector) -> dict:
     coeffs: list[Any] = []
     for c in vector.coeffs:
@@ -131,7 +135,7 @@ def encode_witt(vector: WittVector) -> dict:
             coeffs.append(_int_to_wire(c))
         else:
             raise SpecError(f"cannot serialize coefficients of type {type(c).__name__}")
-    return {"precision": vector.prec, "coeffs": coeffs}
+    return {"precision": vector.prec, "coeffs": _Numerals(coeffs) if all(isinstance(c, str) for c in coeffs) else coeffs}
 
 
 def _known_fields(obj: dict, fields: Sequence[str], what: str) -> None:
@@ -168,13 +172,13 @@ def decode_ghost(obj: Any) -> GhostVector:
 
 
 def encode_ghost(g: GhostVector) -> dict:
-    return {"precision": g.prec, "ghost": [_int_to_wire(c) for c in g.coords]}
+    return {"precision": g.prec, "ghost": _Numerals(map(_int_to_wire, g.coords))}
 
 
 def encode_rational(rf: RationalFunction) -> dict:
     doc = {
-        "num": [_int_to_wire(c) for c in rf.num.coeffs],
-        "den": [_int_to_wire(c) for c in rf.den.coeffs],
+        "num": _Numerals(map(_int_to_wire, rf.num.coeffs)),
+        "den": _Numerals(map(_int_to_wire, rf.den.coeffs)),
     }
     shown = rf.display()
     if shown is not None:
@@ -213,10 +217,16 @@ def decode_spec(obj: Any) -> VarietySpec:
     return EquationsSpec.from_strings(_as_int(obj["p"], "p"), variables, polys)
 
 
-def _emit(encode: Callable[..., dict], *args: Any, **kwargs: Any) -> None:
-    """Print the document encode(*args, **kwargs), the digit limit lifted once for all of it."""
-    doc = _lifted(lambda: json.dumps(encode(*args, **kwargs), sort_keys=True, separators=(",", ":")))
-    sys.stdout.write(doc + "\n")
+def _emit(encode: Callable[..., dict], *args: Any) -> None:
+    """Print the document encode(*args) as json.dumps(doc, sort_keys=True, separators=(",", ":")) does, the digit
+    limit lifted once for all of it.  A _Numerals array is joined as it is; every other value goes through json.dumps."""
+    def text(doc: Any) -> str:
+        if isinstance(doc, dict):
+            return "{" + ",".join(f"{json.dumps(k)}:{text(doc[k])}" for k in sorted(doc)) + "}"
+        if isinstance(doc, _Numerals):
+            return '["' + '","'.join(doc) + '"]' if doc else "[]"
+        return f"[{','.join(map(text, doc))}]" if isinstance(doc, list) else json.dumps(doc)
+    sys.stdout.write(_lifted(lambda: text(encode(*args))) + "\n")
 
 
 def _budget() -> int:
@@ -340,7 +350,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         status = "PASS" if entry["passed"] else "FAIL"
         sys.stderr.write(f"{entry['criterion']}: {status} - {entry['detail']}\n")
     passed = all(entry["passed"] for entry in results)
-    _emit(dict, passed=passed, results=results)
+    sys.stdout.write(json.dumps({"passed": passed, "results": results}, sort_keys=True, separators=(",", ":")) + "\n")
     return 0 if passed else 1
 
 

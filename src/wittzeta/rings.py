@@ -16,19 +16,23 @@ restricts the library to torsion-free coefficient rings.
 The dense O(N^2) series recurrences (series product and inverse here, the
 ghost map and its Newton inverse in ``wittzeta.witt``) share one inner sum,
 ``_conv``, which goes through the ring handle only and starts from each
-recurrence's boundary term: no sum starts from zero, and none multiplies by
-a constant term known to be 1.
+recurrence's boundary term; none multiplies by a constant term known to be 1,
+and over ZZ and ZZ[z] a product or inverse stops each sum at a polynomial
+operand's last nonzero term.  Elements of ZZ[z] multiply by Kronecker
+substitution from _PACK_MIN coefficients on, one integer product each.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import IntegralityError
 
 Element = Any
+_PACK_MIN = 9  # IntPolynomial products pack from this shorter-operand length on, measured on W_8(ZZ[z])
 
 
 def binary_power(x: Element, e: int, mul: Callable[[Element, Element], Element], one: Element) -> Element:
@@ -137,23 +141,49 @@ class IntegerRing(Ring):
         return "ZZ"
 
 
+def _kronecker(a: tuple, b: tuple) -> list:
+    """a*b, len(a) <= len(b), by one integer product (Kronecker substitution; Harvey 2009): slots of w >= 8
+    bytes hold every product coefficient c, |c| < 2^(8w-1).  Adding 2^(8w-1) to each slot makes them all
+    nonnegative, so one to_bytes splits the product (as 64-bit words at w = 8): linear in the slot count."""
+    w = max(8, (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length() + 8) >> 3)
+    k, n, x, y = 8 * w, len(a) + len(b) - 1, 0, 0
+    for c in reversed(a):
+        x = (x << k) + c
+    for c in reversed(b):
+        y = (y << k) + c
+    bias, half = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little"), 1 << (k - 1)  # half in every slot
+    raw = (x * y + bias).to_bytes(w * n, "little")
+    if w == 8 and sys.byteorder == "little":  # raw is n native 64-bit words
+        return [v - half for v in memoryview(raw).cast("Q")]
+    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * n, w)]
+
+
 class IntPolynomial:
     """Integer polynomial stored as ascending coefficients, no trailing zeros.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
-    Arithmetic accepts plain ints wherever a polynomial is expected.
+    Arithmetic accepts plain ints wherever a polynomial is expected.  A product
+    whose shorter operand has _PACK_MIN or more coefficients is one integer
+    product (``_kronecker``), a shorter one the coefficient loop.  Results of
+    arithmetic are built by ``_make``; only the constructor validates.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError("coefficients must be integers")
+        if not all(isinstance(c, int) for c in cs):
+            raise TypeError("coefficients must be integers")
+        self.coeffs = IntPolynomial._make(cs).coeffs
+
+    @classmethod
+    def _make(cls, cs: list) -> "IntPolynomial":
+        """The polynomial of the integers cs with their zero tail popped, unvalidated (internal fast path)."""
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        f = object.__new__(cls)
+        f.coeffs = tuple(cs)
+        return f
 
     @classmethod
     def constant(cls, n: int) -> "IntPolynomial":
@@ -179,52 +209,46 @@ class IntPolynomial:
     def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    @staticmethod
-    def _coerce(x: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(x, IntPolynomial):
-            return x
-        if isinstance(x, int):
-            return IntPolynomial((x,))
-        return NotImplemented  # type: ignore[return-value]
-
     def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, int):
+            other = IntPolynomial._make([other])
+        elif not isinstance(other, IntPolynomial):
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial(out)
+        return IntPolynomial._make(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return IntPolynomial._make([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other) if isinstance(other, (int, IntPolynomial)) else NotImplemented
 
     def __rsub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         return (-self) + other
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, int):
+            return IntPolynomial._make([c * other for c in self.coeffs] if other else [])
+        if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) >= _PACK_MIN:
+            return IntPolynomial._make(_kronecker(a, b))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return IntPolynomial._make(out)
 
     __rmul__ = __mul__
 
@@ -235,7 +259,7 @@ class IntPolynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = IntPolynomial((other,))
+            other = IntPolynomial._make([other])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -270,7 +294,7 @@ class IntPolynomial:
                 rem[shift + i] -= q * c
         if any(rem):
             return None
-        return IntPolynomial(quot)
+        return IntPolynomial._make(quot)
 
     def render(self, var: str = "z") -> str:
         if self.is_zero():
@@ -304,9 +328,6 @@ class IntPolynomialRing(Ring):
     zero, one = IntPolynomial(), IntPolynomial((1,))
     add, neg, mul, eq, scalar_mul = operator.add, operator.neg, operator.mul, operator.eq, operator.mul
 
-    def from_int(self, k: int) -> IntPolynomial:
-        return IntPolynomial((k,))
-
     def divide_exact(self, x: IntPolynomial, n: int) -> IntPolynomial:
         if n <= 0:
             raise ValueError("divisor must be a positive integer")
@@ -316,7 +337,7 @@ class IntPolynomialRing(Ring):
             if r:
                 raise IntegralityError(f"a {c.bit_length()}-bit coefficient is not divisible by {n}")
             out.append(q)
-        return IntPolynomial(out)
+        return IntPolynomial._make(out)
 
     def check(self, x: Element) -> IntPolynomial:
         if isinstance(x, int):
@@ -337,6 +358,15 @@ class IntPolynomialRing(Ring):
 
 ZZ = IntegerRing()
 ZPOLY = IntPolynomialRing()
+
+
+def _support(cs: tuple) -> tuple:
+    """cs up to its last term that is not == 0 (the constant term kept): over ZZ and ZZ[z], its last nonzero
+    term.  A Witt vector never == 0, so no Witt-vector coefficient is realized to test it."""
+    m = len(cs)
+    while m > 1 and cs[m - 1] == 0:
+        m -= 1
+    return cs[:m]
 
 
 class TruncatedSeries:
@@ -389,13 +419,16 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         ring = self.ring
-        if other.ring != ring:
+        if other.ring is not ring and other.ring != ring:
             raise ValueError("series live over different rings")
-        a, b = self.coeffs, other.coeffs
-        add, mul = ring.add, ring.mul
-        out = [mul(a[0], b[0])]
-        for k in range(1, min(self.prec, other.prec) + 1):
-            out.append(_conv(ring, a, b, k, add(mul(a[0], b[k]), mul(a[k], b[0]))))
+        a, b, add, mul = self.coeffs, other.coeffs, ring.add, ring.mul
+        s, t = _support(a), _support(b)  # each up to its last nonzero term
+        if len(t) < len(s):
+            a, b, s = b, a, t
+        out, m = [mul(a[0], b[0])], len(s)
+        for k in range(1, min(self.prec, other.prec) + 1):  # past s, the sum over s[1..m-1] reads b[k-m+1..k-1]
+            acc = add(mul(a[0], b[k]), mul(a[k], b[0])) if k < m else mul(a[0], b[k])
+            out.append(_conv(ring, a, b, k, acc) if k < m else _conv(ring, s, b[k - m : k], m, acc))
         return TruncatedSeries._make(ring, tuple(out))
 
     def inverse(self) -> "TruncatedSeries":
@@ -403,9 +436,11 @@ class TruncatedSeries:
         ring = self.ring
         if not ring.eq(self.coeffs[0], ring.one):
             raise ValueError("series inverse requires constant term 1")
-        s, inv = self.coeffs, [ring.one]
+        s, inv = _support(self.coeffs), [ring.one]
+        m = len(s)  # past s, the sum over s[1..m-1] reads inv[k-m+1..k-1], from zero
         for k in range(1, self.prec + 1):
-            inv.append(ring.neg(_conv(ring, s, inv, k, s[k])))
+            acc = _conv(ring, s, inv, k, s[k]) if k < m else _conv(ring, s, inv[k - m : k], m, ring.zero)
+            inv.append(ring.neg(acc))
         return TruncatedSeries._make(ring, tuple(inv))
 
     def _power(self, num: int, den: int) -> "TruncatedSeries":

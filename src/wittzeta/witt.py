@@ -230,7 +230,7 @@ def witt_one(ring: Ring, prec: int) -> WittVector:
 def witt_add(p: WittVector, q: WittVector) -> WittVector:
     """The series product; born with the pointwise ghost sum when both summands carry ghosts.
     The ghost sum alone, unrealized, when a summand is unrealized.  Mixed rings raise first."""
-    if p.ring != q.ring:
+    if p.ring is not q.ring and p.ring != q.ring:
         raise ValueError("Witt vectors live over different rings")
     if p._series is None or q._series is None:
         return WittVector._of(None, ghost(p) + ghost(q))
@@ -294,7 +294,7 @@ def _from_ghost(g: GhostVector, *operands: WittVector) -> WittVector:
 
 def witt_mul(p: WittVector, q: WittVector) -> WittVector:
     """The Witt product through ghost coordinates, unrealized when a factor is; mixed rings raise first."""
-    if p.ring != q.ring:
+    if p.ring is not q.ring and p.ring != q.ring:
         raise ValueError("Witt vectors live over different rings")
     prec = min(p.prec, q.prec)
     return _from_ghost(ghost(p.truncate(prec)) * ghost(q.truncate(prec)), p, q)

@@ -195,10 +195,9 @@ class RationalFunction:
         object.__setattr__(self, "_den_factors", kept if cofactor.coeffs == (1,) else None)
 
     def series(self, prec: int) -> TruncatedSeries:
-        """Expand to a truncated series over the integers."""
-        num_padded = [self.num.coefficient(k) for k in range(prec + 1)]
-        den_padded = [self.den.coefficient(k) for k in range(prec + 1)]
-        return TruncatedSeries(ZZ, num_padded) * TruncatedSeries(ZZ, den_padded).inverse()
+        """Expand to a truncated series over the integers, in O(prec * (deg num + deg den)) steps."""
+        num, den = (TruncatedSeries(ZZ, [f.coefficient(k) for k in range(prec + 1)]) for f in (self.num, self.den))
+        return num * den.inverse()
 
     def witt(self, prec: int) -> WittVector:
         return WittVector(self.series(prec))

@@ -10,14 +10,16 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittzeta.cli import _int_from_wire, _int_to_wire, decode_spec, decode_witt, encode_rational, encode_witt, main
+from wittzeta.cli import (
+    _emit, _int_from_wire, _int_to_wire, decode_spec, decode_witt, encode_ghost, encode_rational, encode_witt, main,
+)
 from wittzeta.errors import ReconstructionError
 from wittzeta.finitefield import is_prime
-from wittzeta.rings import ZZ
+from wittzeta.rings import IntPolynomial, ZZ
 from wittzeta.sigma import sigma_witt
 from wittzeta.varieties import point_counts
-from wittzeta.witt import WittVector, teichmuller, witt_add
-from wittzeta.zeta import rational_reconstruct, zeta_from_counts
+from wittzeta.witt import WittVector, ghost, teichmuller, witt_add
+from wittzeta.zeta import RationalFunction, rational_reconstruct, zeta_from_counts
 
 
 def run_cli(capsys, *argv):
@@ -576,6 +578,20 @@ def test_the_digit_limit_is_lifted_once_per_input_document(capsys, monkeypatch):
     assert len(neg["coeffs"]) == 100 and len(neg["coeffs"][-1]) > 4300
     assert calls == [0, limit, 0, limit]  # once to read 100 coefficients, once to write them
     assert digit_limit() == limit
+
+
+def test_the_wire_writer_prints_what_json_dumps_prints(capsys):
+    nested = sigma_witt(witt_add(teichmuller(-3, 6), -teichmuller(5, 6)), 3)
+    docs = [encode_witt(nested), encode_witt(teichmuller(-7, 4)), encode_ghost(ghost(-teichmuller(2, 5))),
+            encode_rational(RationalFunction(IntPolynomial((1, -4, 9)), IntPolynomial((1, -3, 2)))),
+            encode_rational(RationalFunction(IntPolynomial((1, 2, -2)), IntPolynomial((1, 1, 1))))]
+    assert "display" in docs[3] and "display" not in docs[4]
+    for doc in docs:
+        assert any(c.startswith("-") for c in json.dumps(doc).split('"') if c[1:].isdigit())
+    names = {"vars": ['x"', "y\\", "\u00e9"], "polys": [["x\n"], []], "num": []}  # plain lists are escaped
+    for doc in docs + [names]:
+        _emit(lambda: doc)
+        assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_wire_integers_without_a_digit_limit(monkeypatch):

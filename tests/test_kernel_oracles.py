@@ -282,6 +282,30 @@ def test_nth_root_and_divide_exact_match_the_degree_by_degree_route(case, data):
     assert new == old
 
 
+@pytest.mark.parametrize("ring", [ZZ, ZPOLY], ids=["ZZ", "ZZ[z]"])
+@settings(DIFFERENTIAL, max_examples=60)
+@given(data=st.data())
+def test_products_and_inverses_of_zero_tailed_series_match_the_loops(ring, data):
+    """Products and inverses stop each inner sum at a polynomial operand's last nonzero term."""
+    def series(prec, constant=None):
+        d = data.draw(st.integers(0, prec))  # zero from degree d + 1 on
+        head = data.draw(st.lists(elements(ring), min_size=d, max_size=d))
+        first = data.draw(elements(ring)) if constant is None else constant
+        return TruncatedSeries(ring, [first] + head + [ring.zero] * (prec - d))
+
+    s, u = series(data.draw(st.integers(0, 30))), series(data.draw(st.integers(0, 30)), ring.one)
+    dense = TruncatedSeries(ring, data.draw(st.lists(elements(ring), min_size=31, max_size=31)))
+    for x, y in ((s, u), (u, s), (s, dense), (dense, u), (u, u)):
+        assert (x * y).coeffs == series_mul_by_loop(x, y).coeffs
+    assert u.inverse().coeffs == inverse_by_loop(u).coeffs
+
+
+def test_series_products_over_a_witt_ring_realize_no_coefficient():
+    g = witt.ghost(WittVector.from_coeffs(ZZ, [1, -2, 0]))
+    s = TruncatedSeries(W3, [WittVector._of(None, g) for _ in range(5)])
+    assert all(c._series is None for c in (s * s).coeffs + s.coeffs)
+
+
 # (coefficient ring, largest precision) for the power tests
 POWER_CASES = {"ZZ": (ZZ, 8), "ZZ[z]": (ZPOLY, 6), "W_3(ZZ)": (W3, 4)}
 
