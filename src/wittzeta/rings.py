@@ -19,7 +19,10 @@ ghost map and its Newton inverse in ``wittzeta.witt``) share one inner sum,
 recurrence's boundary term; none multiplies by a constant term known to be 1,
 and over ZZ and ZZ[z] a product or inverse stops each sum at a polynomial
 operand's last nonzero term.  Elements of ZZ[z] multiply by Kronecker
-substitution from _PACK_MIN coefficients on, one integer product each.
+substitution from _PACK_MIN coefficients on, one integer product each: z = 2^(8w)
+maps ZZ[z] to ZZ, injectively on coefficients below 2^(8w-1) in absolute value
+(``_pack``, ``_unpack``).  The W_N(ZZ[z]) kernels of ``wittzeta.witt`` run the
+ZZ recurrences on such packed integers, w fixed by a bound on 1-norms.
 """
 
 from __future__ import annotations
@@ -141,21 +144,35 @@ class IntegerRing(Ring):
         return "ZZ"
 
 
-def _kronecker(a: tuple, b: tuple) -> list:
-    """a*b, len(a) <= len(b), by one integer product (Kronecker substitution; Harvey 2009): slots of w >= 8
-    bytes hold every product coefficient c, |c| < 2^(8w-1).  Adding 2^(8w-1) to each slot makes them all
-    nonnegative, so one to_bytes splits the product (as 64-bit words at w = 8): linear in the slot count."""
-    w = max(8, (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length() + 8) >> 3)
-    k, n, x, y = 8 * w, len(a) + len(b) - 1, 0, 0
-    for c in reversed(a):
+def _width(bits: int) -> int:
+    """Bytes a slot needs for signed values of at most bits bits: 8*w - 1 > bits, at least 8 (64-bit words)."""
+    return max(8, (bits + 8) >> 3)
+
+
+def _pack(cs: Sequence[int], k: int) -> int:
+    """The polynomial with coefficients cs at z = 2^k, by Horner shifts."""
+    x = 0
+    for c in reversed(cs):
         x = (x << k) + c
-    for c in reversed(b):
-        y = (y << k) + c
-    bias, half = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little"), 1 << (k - 1)  # half in every slot
-    raw = (x * y + bias).to_bytes(w * n, "little")
+    return x
+
+
+def _unpack(x: int, w: int) -> list:
+    """The signed w-byte slots of x, all below 2^(8w-1) in absolute value.  2^(8w-1) added to each slot makes
+    them nonnegative, so one to_bytes splits x (as 64-bit words at w = 8): linear in the slot count."""
+    n = x.bit_length() // (8 * w) + 1
+    bias, half = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little"), 1 << (8 * w - 1)  # half in every slot
+    raw = (x + bias).to_bytes(w * n, "little")
     if w == 8 and sys.byteorder == "little":  # raw is n native 64-bit words
         return [v - half for v in memoryview(raw).cast("Q")]
     return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * n, w)]
+
+
+def _kronecker(a: tuple, b: tuple) -> list:
+    """a*b, len(a) <= len(b), by one integer product (Kronecker substitution; Harvey 2009): slots of w >= 8
+    bytes hold every product coefficient c, |c| <= max|a|*max|b|*len(a)."""
+    w = _width(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length())
+    return _unpack(_pack(a, 8 * w) * _pack(b, 8 * w), w)
 
 
 class IntPolynomial:
@@ -264,8 +281,8 @@ class IntPolynomial:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+    def __hash__(self) -> int:  # a constant hashes as the int it equals
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.leading())
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -497,7 +514,7 @@ class TruncatedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             return False
         n = min(self.prec, other.prec)
         return all(self.ring.eq(self.coeffs[k], other.coeffs[k]) for k in range(n + 1))

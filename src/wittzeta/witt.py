@@ -25,14 +25,21 @@ A vector may also be unrealized, known by its ghost vector alone (those of
 an integral vector, so realizing it cannot raise).  Sums, products,
 Frobenius images and truncations with an unrealized operand stay pointwise
 and unrealized; realized operands give realized results, eagerly.
+
+Over ZZ[z], ``ghost``, ``ghost_inverse`` and ``witt_mul`` of realized vectors
+run the recurrences over ZZ on coefficients packed at z = 2^(8w) (Kronecker
+substitution), w fixed first by running them on 1-norms: ||f*g|| <= ||f||*||g||,
+||f + g|| <= ||f|| + ||g||, and an exact division by n divides the norm by n.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 
 from .errors import IntegralityError, PrecisionError
-from .rings import Ring, TruncatedSeries, ZZ, _conv, binary_power
+from .rings import ZPOLY, ZZ, IntPolynomial, IntPolynomialRing, Ring, TruncatedSeries, binary_power
+from .rings import _conv, _pack, _unpack, _width
 
 Element = Any
 
@@ -251,17 +258,59 @@ def witt_scale(p: WittVector, k: int) -> WittVector:
     return WittVector(p.series.pow_int(k))
 
 
+# Bounds on 1-norms under the ring operations: ||x + y|| <= ||x|| + ||y||, ||x*y|| <= ||x||*||y||, ||k*x|| = |k|*||x||.
+_NORMS = SimpleNamespace(zero=0, one=1, add=ZZ.add, mul=ZZ.mul, neg=abs, scalar_mul=lambda x, k: x * abs(k))
+
+
+def _ghost_map(ring: Ring, a: Sequence[Element]) -> list:
+    """[0, b1, ..., bN] from a = (1, a1, ..., aN) by bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1)."""
+    b = [ring.zero]  # b[0] is never read
+    for n in range(1, len(a)):
+        b.append(ring.neg(_conv(ring, a, b, n, ring.scalar_mul(a[n], -n))))
+    return b
+
+
+def _newton(ring: Ring, b: Sequence[Element], divide: Callable[[Element, int], Element]) -> list:
+    """[1, a1, ..., aN] from b = (0, b1, ..., bN) by n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1, divide(s, n) = s/n."""
+    a = [ring.one]
+    for n in range(1, len(b)):
+        try:
+            a.append(divide(_conv(ring, a, b, n, b[n]), n))
+        except IntegralityError as exc:
+            msg = f"no Witt vector has these ghost coordinates: the Newton step at degree {n} is not divisible by {n}"
+            raise IntegralityError(msg, degree=n) from exc
+    return a
+
+
+def _ghost_ints(p: WittVector, prec: int, k: int) -> list:
+    """[0, b1, ..., b_prec] of p over ZZ[z] at z = 2^k, carried or by the ghost map over ZZ; 1-norm bounds at k = 0."""
+    read = (lambda c: _pack(c.coeffs, k)) if k else (lambda c: sum(map(abs, c.coeffs)))
+    if p._ghost is not None:
+        return [0, *map(read, p._ghost.coords[:prec])]
+    return _ghost_map(ZZ if k else _NORMS, list(map(read, p._series.coeffs[: prec + 1])))
+
+
+def _zpoly_newton(ghosts: Callable[[int], list]) -> tuple:
+    """(1, a1, ..., aN) over ZZ[z] from ghosts(k) = [0, b1, ..., bN] at z = 2^k: Newton over ZZ, k set by ghosts(0)."""
+    sums: list = []
+    _newton(_NORMS, ghosts(0), lambda s, n: sums.append(s) or s // n)
+    w, out = _width(max(sums).bit_length()), [ZPOLY.one]
+    _newton(ZZ, ghosts(8 * w),
+            lambda s, n: out.append(ZPOLY.divide_exact(IntPolynomial._make(_unpack(s, w)), n)) or s // n)
+    return tuple(out)
+
+
 def ghost(p: WittVector) -> GhostVector:
     """Ghost coordinates b1..bN of t*P'/P: those p was born with, else (storing nothing on
-    p) one pass of the recurrence bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1) from P*B = t*P'."""
+    p) one pass of the recurrence bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1) from P*B = t*P'.
+    Over ZZ[z] it runs over ZZ at z = 2^(8w), w fixed by the pass on 1-norms; one unpack a coordinate."""
     if p._ghost is not None:
         return p._ghost
     ring = p.ring
-    a = p._series.coeffs
-    b = [ring.zero]  # b[n] is the n-th ghost coordinate; b[0] is never read
-    for n in range(1, len(a)):
-        b.append(ring.neg(_conv(ring, a, b, n, ring.scalar_mul(a[n], -n))))
-    return GhostVector._make(ring, tuple(b[1:]))
+    if not isinstance(ring, IntPolynomialRing):
+        return GhostVector._make(ring, tuple(_ghost_map(ring, p._series.coeffs)[1:]))
+    w = _width(max(_ghost_ints(p, p.prec, 0)).bit_length())
+    return GhostVector._make(ring, tuple(IntPolynomial._make(_unpack(x, w)) for x in _ghost_ints(p, p.prec, 8 * w)[1:]))
 
 
 def ghost_inverse(g: GhostVector) -> WittVector:
@@ -271,19 +320,14 @@ def ghost_inverse(g: GhostVector) -> WittVector:
     the n-th step divides by n in the coefficient ring and raises
     IntegralityError (carrying n) if the coordinates are not the ghost
     vector of anything.  The result keeps g as its ghost coordinates.
+    Over ZZ[z] it runs over ZZ at z = 2^(8w), w fixed by the recursion on
+    1-norms; each step's sum is unpacked once, every slot checked for n | slot.
     """
     ring = g.ring
-    b = (ring.zero,) + g.coords  # b[n] is the n-th ghost coordinate; b[0] is never read
-    a = [ring.one]
-    for n in range(1, len(b)):
-        try:
-            a.append(ring.divide_exact(_conv(ring, a, b, n, b[n]), n))
-        except IntegralityError as exc:
-            raise IntegralityError(
-                f"no Witt vector has these ghost coordinates: "
-                f"the Newton step at degree {n} is not divisible by {n}",
-                degree=n,
-            ) from exc
+    if isinstance(ring, IntPolynomialRing):
+        a = _zpoly_newton(lambda k: _ghost_ints(WittVector._of(None, g), g.prec, k))
+    else:
+        a = _newton(ring, (ring.zero,) + g.coords, ring.divide_exact)
     return WittVector._of(TruncatedSeries._make(ring, tuple(a)), g)
 
 
@@ -293,10 +337,15 @@ def _from_ghost(g: GhostVector, *operands: WittVector) -> WittVector:
 
 
 def witt_mul(p: WittVector, q: WittVector) -> WittVector:
-    """The Witt product through ghost coordinates, unrealized when a factor is; mixed rings raise first."""
+    """The Witt product through ghost coordinates, unrealized when a factor is; mixed rings raise first.
+    Over ZZ[z], two realized factors run both ghost maps, their pointwise product and the Newton
+    recursion over ZZ at z = 2^(8w), w fixed by the same steps on 1-norms; the product keeps no ghosts."""
     if p.ring is not q.ring and p.ring != q.ring:
         raise ValueError("Witt vectors live over different rings")
     prec = min(p.prec, q.prec)
+    if isinstance(p.ring, IntPolynomialRing) and p._series is not None and q._series is not None:
+        a = _zpoly_newton(lambda k: list(map(ZZ.mul, _ghost_ints(p, prec, k), _ghost_ints(q, prec, k))))
+        return WittVector(TruncatedSeries._make(p.ring, a))
     return _from_ghost(ghost(p.truncate(prec)) * ghost(q.truncate(prec)), p, q)
 
 

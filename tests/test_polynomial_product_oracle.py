@@ -14,7 +14,7 @@ operands with 2^b - 1 coefficients put an output coefficient within a factor
 
 from hypothesis import example, given, settings, strategies as st
 
-from wittzeta import rings
+from wittzeta import rings, witt
 from wittzeta.rings import IntPolynomial, ZPOLY
 from wittzeta.sigma import sigma_poly
 from wittzeta.witt import WittVector, witt_mul
@@ -116,10 +116,19 @@ def test_products_from_the_cutoff_on_take_the_packed_path(monkeypatch):
     calls.clear()
     assert_product(IntPolynomial(range(1, rings._PACK_MIN)), long)
     assert calls == []
+    packed = []
+
+    def counted_kernel(ghosts):
+        packed.append(ghosts)
+        return kernel(ghosts)
+
+    kernel = witt._zpoly_newton
+    monkeypatch.setattr(witt, "_zpoly_newton", counted_kernel)
     p = WittVector.from_coeffs(ZPOLY, [IntPolynomial((k, -k, 3)) for k in range(1, 9)])
     witt_mul(p, p)
     sigma_poly(IntPolynomial((1, -4, 6)), 8)
-    assert len(calls) >= 10  # W_8(ZZ[z]) products and sigma_poly reach the cutoff
+    assert calls == []  # the W_8(ZZ[z]) kernels multiply packed integers, no IntPolynomial
+    assert len(packed) == 2  # one packed Newton recursion each
 
 
 @ORACLE

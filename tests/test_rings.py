@@ -328,3 +328,11 @@ def test_polynomial_render():
     assert IntPolynomial((1, -3, 2)).render("t") == "1 - 3*t + 2*t^2"
     assert IntPolynomial((0, 1)).render() == "z"
     assert IntPolynomial().render() == "0"
+
+
+def test_constant_polynomials_hash_as_the_int_they_equal():
+    for k in (0, 1, -1, 5, 2**64, -(2**200)):
+        assert IntPolynomial((k,)) == k and hash(IntPolynomial((k,))) == hash(k)
+        assert len({IntPolynomial((k,)), k}) == 1
+    assert hash(IntPolynomial()) == hash(0) == 0 and {IntPolynomial(), 0} == {0}
+    assert hash(IntPolynomial((5, 1))) == hash((5, 1))  # every other polynomial hashes as before
