@@ -13,16 +13,15 @@ positive integer (``divide_exact``), a partial operation that raises
 the only extra structure ghost-coordinate inversion needs, and it is what
 restricts the library to torsion-free coefficient rings.
 
-The dense O(N^2) series recurrences (series product and inverse here, the
-ghost map and its Newton inverse in ``wittzeta.witt``) share one inner sum,
-``_conv``, which goes through the ring handle only and starts from each
-recurrence's boundary term; none multiplies by a constant term known to be 1,
-and over ZZ and ZZ[z] a product or inverse stops each sum at a polynomial
-operand's last nonzero term.  Elements of ZZ[z] multiply by Kronecker
-substitution from _PACK_MIN coefficients on, one integer product each: z = 2^(8w)
-maps ZZ[z] to ZZ, injectively on coefficients below 2^(8w-1) in absolute value
-(``_pack``, ``_unpack``).  The W_N(ZZ[z]) kernels of ``wittzeta.witt`` run the
-ZZ recurrences on such packed integers, w fixed by a bound on 1-norms.
+The dense O(N^2) series recurrences (series product and inverse here, and
+the ghost map and its Newton inverse of ``wittzeta.witt`` over rings other than
+ZZ and ZZ[z], which run on plain ints) share one inner sum, ``_conv``, through
+the ring handle from each recurrence's boundary term; none multiplies by a
+constant term known to be 1, and over ZZ and ZZ[z] a product or inverse stops
+each sum at a polynomial operand's last nonzero term.  Elements of ZZ[z]
+multiply by Kronecker substitution from _PACK_MIN coefficients on, one integer
+product each: z = 2^(8w) maps ZZ[z] to ZZ, injectively on coefficients below
+2^(8w-1) in absolute value (``_pack``, ``_unpack``).
 """
 
 from __future__ import annotations

@@ -26,19 +26,20 @@ an integral vector, so realizing it cannot raise).  Sums, products,
 Frobenius images and truncations with an unrealized operand stay pointwise
 and unrealized; realized operands give realized results, eagerly.
 
-Over ZZ[z], ``ghost``, ``ghost_inverse`` and ``witt_mul`` of realized vectors
-run the recurrences over ZZ on coefficients packed at z = 2^(8w) (Kronecker
-substitution), w fixed first by running them on 1-norms: ||f*g|| <= ||f||*||g||,
-||f + g|| <= ||f|| + ||g||, and an exact division by n divides the norm by n.
+Over ZZ, ``ghost``, ``ghost_inverse`` and ``witt_mul`` of realized vectors run
+the recurrences on plain ints, one C-level sum of products a step; over ZZ[z], on
+coefficients packed at z = 2^(8w) (Kronecker substitution), w fixed first by running
+them on 1-norms: ||f*g|| <= ||f||*||g||, ||f + g|| <= ||f|| + ||g||, and an exact
+division by n divides the norm by n.  Other rings run them through the ring handle.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+from operator import mul
 from typing import Any, Callable, Sequence
 
 from .errors import IntegralityError, PrecisionError
-from .rings import ZPOLY, ZZ, IntPolynomial, IntPolynomialRing, Ring, TruncatedSeries, binary_power
+from .rings import ZPOLY, ZZ, IntegerRing, IntPolynomial, IntPolynomialRing, Ring, TruncatedSeries, binary_power
 from .rings import _conv, _pack, _unpack, _width
 
 Element = Any
@@ -51,8 +52,9 @@ class WittVector:
     the underlying series, ``-`` inverts it, ``*`` is the Witt product
     characterized by [a]*[b] = [ab] on Teichmueller lifts.  Comparison of
     vectors with different precision is allowed and compares coefficients
-    up to the common precision.  Vectors from ``ghost_inverse``, ``with_ghost``,
-    their truncations, and sums and exact quotients (``WittRing.divide_exact``)
+    up to the common precision.  Vectors from ``ghost_inverse``, ``with_ghost``, ``teichmuller``
+    (so ``witt_one``), Witt products over any ring but ZZ[z], Frobenius images and powers, their
+    truncations, and sums, negatives, multiples and exact quotients (``WittRing.divide_exact``)
     of carrying vectors carry ghost coordinates from birth, never set later.
     """
 
@@ -184,7 +186,7 @@ class GhostVector:
         return self.coords[n - 1]
 
     def _pointwise(self, other: "GhostVector", op: Callable) -> "GhostVector":
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ghost vectors live over different rings")
         return GhostVector._make(self.ring, tuple(map(op, self.coords, other.coords)))
 
@@ -204,7 +206,7 @@ class GhostVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GhostVector):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             return False
         n = min(len(self.coords), len(other.coords))
         return all(self.ring.eq(a, b) for a, b in zip(self.coords[:n], other.coords[:n]))
@@ -221,12 +223,12 @@ def witt_zero(ring: Ring, prec: int) -> WittVector:
 
 
 def teichmuller(a: Element, prec: int, ring: Ring = ZZ) -> WittVector:
-    """The multiplicative lift [a] = 1/(1 - a*t), coefficients a^n."""
+    """The multiplicative lift [a] = 1/(1 - a*t), coefficients a^n, born with them as its ghost coordinates."""
     a = ring.check(a)
     coeffs = [ring.one]
     for _ in range(prec):
         coeffs.append(ring.mul(coeffs[-1], a))
-    return WittVector(TruncatedSeries._make(ring, tuple(coeffs)))
+    return WittVector._of(TruncatedSeries._make(ring, tuple(coeffs)), GhostVector._make(ring, tuple(coeffs[1:])))
 
 
 def witt_one(ring: Ring, prec: int) -> WittVector:
@@ -246,7 +248,8 @@ def witt_add(p: WittVector, q: WittVector) -> WittVector:
 
 
 def witt_neg(p: WittVector) -> WittVector:
-    return WittVector(p.series.inverse())
+    """The series inverse, born with -gh(p) when p carries ghosts; -gh(p) alone, unrealized, when p is unrealized."""
+    return WittVector._of(None if p._series is None else p._series.inverse(), None if p._ghost is None else -p._ghost)
 
 
 def witt_sub(p: WittVector, q: WittVector) -> WittVector:
@@ -254,80 +257,101 @@ def witt_sub(p: WittVector, q: WittVector) -> WittVector:
 
 
 def witt_scale(p: WittVector, k: int) -> WittVector:
-    """The k-fold Witt sum of p, i.e. the k-th power of the series."""
-    return WittVector(p.series.pow_int(k))
+    """The k-fold Witt sum of p, the k-th power of the series; ghosts and realization as in ``witt_neg``."""
+    g = None if p._ghost is None else GhostVector._make(p.ring, tuple(p.ring.scalar_mul(c, k) for c in p._ghost.coords))
+    return WittVector._of(None if p._series is None else p._series.pow_int(k), g)
 
 
-# Bounds on 1-norms under the ring operations: ||x + y|| <= ||x|| + ||y||, ||x*y|| <= ||x||*||y||, ||k*x|| = |k|*||x||.
-_NORMS = SimpleNamespace(zero=0, one=1, add=ZZ.add, mul=ZZ.mul, neg=abs, scalar_mul=lambda x, k: x * abs(k))
+def _newton_step(divide: Callable[[Element, int], Element], s: Element, n: int) -> Element:
+    """divide(s, n) = s/n for the Newton step at degree n, its IntegralityError raised again as the step's."""
+    try:
+        return divide(s, n)
+    except IntegralityError as exc:
+        msg = f"no Witt vector has these ghost coordinates: the Newton step at degree {n} is not divisible by {n}"
+        raise IntegralityError(msg, degree=n) from exc
 
 
 def _ghost_map(ring: Ring, a: Sequence[Element]) -> list:
-    """[0, b1, ..., bN] from a = (1, a1, ..., aN) by bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1)."""
+    """[0, b1, ..., bN] from a = (1, a1, ..., aN): bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1), over ZZ on ints."""
+    if type(ring) is IntegerRing:
+        return _ghost_ints(a)
     b = [ring.zero]  # b[0] is never read
     for n in range(1, len(a)):
         b.append(ring.neg(_conv(ring, a, b, n, ring.scalar_mul(a[n], -n))))
     return b
 
 
-def _newton(ring: Ring, b: Sequence[Element], divide: Callable[[Element, int], Element]) -> list:
-    """[1, a1, ..., aN] from b = (0, b1, ..., bN) by n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1, divide(s, n) = s/n."""
+def _newton(ring: Ring, b: Sequence[Element]) -> list:
+    """[1, a1, ..., aN] from b = (0, b1, ..., bN): n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1, over ZZ on ints."""
+    if type(ring) is IntegerRing:
+        return _newton_ints(b)
     a = [ring.one]
     for n in range(1, len(b)):
-        try:
-            a.append(divide(_conv(ring, a, b, n, b[n]), n))
-        except IntegralityError as exc:
-            msg = f"no Witt vector has these ghost coordinates: the Newton step at degree {n} is not divisible by {n}"
-            raise IntegralityError(msg, degree=n) from exc
+        a.append(_newton_step(ring.divide_exact, _conv(ring, a, b, n, b[n]), n))
     return a
 
 
-def _ghost_ints(p: WittVector, prec: int, k: int) -> list:
-    """[0, b1, ..., b_prec] of p over ZZ[z] at z = 2^k, carried or by the ghost map over ZZ; 1-norm bounds at k = 0."""
-    read = (lambda c: _pack(c.coeffs, k)) if k else (lambda c: sum(map(abs, c.coeffs)))
-    if p._ghost is not None:
-        return [0, *map(read, p._ghost.coords[:prec])]
-    return _ghost_map(ZZ if k else _NORMS, list(map(read, p._series.coeffs[: prec + 1])))
+def _ghost_ints(a: Sequence[int]) -> list:
+    """``_ghost_map`` over ZZ on plain ints: each inner sum is one C-level sum of products."""
+    b = [0]
+    for n in range(1, len(a)):
+        b.append(n * a[n] - sum(map(mul, a[1:n], b[n - 1 : 0 : -1])))
+    return b
+
+
+def _newton_ints(b: Sequence[int], exact: bool = True) -> list:
+    """``_newton`` over ZZ on plain ints; not exact, it rounds each step down and returns the steps' sums instead."""
+    a, sums = [1], []
+    for n in range(1, len(b)):
+        q, r = divmod(s := b[n] + sum(map(mul, a[1:n], b[n - 1 : 0 : -1])), n)
+        if r and exact:
+            _newton_step(ZZ.divide_exact, s, n)  # raises
+        a.append(q)
+        sums.append(s)
+    return a if exact else sums
+
+
+def _int_ghosts(p: WittVector, prec: int, k: int | None = None) -> list:
+    """[0, b1, ..., b_prec] of p over ZZ, or over ZZ[z] at z = 2^k, carried or by the ghost map over ZZ.  Over ZZ[z] at
+    k = 0, bounds on their 1-norms up to sign: the ghost map of minus the 1-norms gives all its terms one sign."""
+    cs = p._series.coeffs[: prec + 1] if p._ghost is None else p._ghost.coords[:prec]
+    if k is not None:
+        cs = [_pack(c.coeffs, k) for c in cs] if k else [-sum(map(abs, c.coeffs)) for c in cs]
+    return _ghost_ints(cs) if p._ghost is None else [0, *cs]
 
 
 def _zpoly_newton(ghosts: Callable[[int], list]) -> tuple:
-    """(1, a1, ..., aN) over ZZ[z] from ghosts(k) = [0, b1, ..., bN] at z = 2^k: Newton over ZZ, k set by ghosts(0)."""
-    sums: list = []
-    _newton(_NORMS, ghosts(0), lambda s, n: sums.append(s) or s // n)
-    w, out = _width(max(sums).bit_length()), [ZPOLY.one]
-    _newton(ZZ, ghosts(8 * w),
-            lambda s, n: out.append(ZPOLY.divide_exact(IntPolynomial._make(_unpack(s, w)), n)) or s // n)
-    return tuple(out)
+    """(1, a1, ..., aN) over ZZ[z] from ghosts(k) = [0, b1, ..., bN] at z = 2^k: Newton over ZZ at z = 2^(8w), w set by
+    its sums on the bounds |ghosts(0)|; each packed sum, true up to the first inexact one, is unpacked and divided."""
+    w = _width(max(_newton_ints(list(map(abs, ghosts(0))), exact=False)).bit_length())
+    unpacked = (IntPolynomial._make(_unpack(s, w)) for s in _newton_ints(ghosts(8 * w), exact=False))
+    return (ZPOLY.one, *(_newton_step(ZPOLY.divide_exact, f, n) for n, f in enumerate(unpacked, 1)))
 
 
 def ghost(p: WittVector) -> GhostVector:
-    """Ghost coordinates b1..bN of t*P'/P: those p was born with, else (storing nothing on
-    p) one pass of the recurrence bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1) from P*B = t*P'.
-    Over ZZ[z] it runs over ZZ at z = 2^(8w), w fixed by the pass on 1-norms; one unpack a coordinate."""
+    """Ghost coordinates b1..bN of t*P'/P: those p was born with, else (storing nothing on p) one pass of
+    bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1) from P*B = t*P'; over ZZ[z] at z = 2^(8w), w fixed by a pass
+    on 1-norms, and over W_M(A) with each coefficient's own ghost map run once, for a copy that carries it."""
     if p._ghost is not None:
         return p._ghost
-    ring = p.ring
-    if not isinstance(ring, IntPolynomialRing):
-        return GhostVector._make(ring, tuple(_ghost_map(ring, p._series.coeffs)[1:]))
-    w = _width(max(_ghost_ints(p, p.prec, 0)).bit_length())
-    return GhostVector._make(ring, tuple(IntPolynomial._make(_unpack(x, w)) for x in _ghost_ints(p, p.prec, 8 * w)[1:]))
+    ring, a = p.ring, p._series.coeffs
+    if isinstance(ring, IntPolynomialRing):
+        w = _width(max(map(abs, _int_ghosts(p, p.prec, 0))).bit_length())
+        return GhostVector._make(ring, tuple(IntPolynomial._make(_unpack(x, w)) for x in _int_ghosts(p, p.prec, 8 * w)[1:]))
+    if isinstance(ring, WittRing):
+        a = [c if c._ghost is not None else WittVector._of(c._series, ghost(c)) for c in a]
+    return GhostVector._make(ring, tuple(_ghost_map(ring, a)[1:]))
 
 
 def ghost_inverse(g: GhostVector) -> WittVector:
-    """The unique Witt vector with the given ghost coordinates.
-
-    Runs the Newton recursion n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1;
-    the n-th step divides by n in the coefficient ring and raises
-    IntegralityError (carrying n) if the coordinates are not the ghost
-    vector of anything.  The result keeps g as its ghost coordinates.
-    Over ZZ[z] it runs over ZZ at z = 2^(8w), w fixed by the recursion on
-    1-norms; each step's sum is unpacked once, every slot checked for n | slot.
-    """
+    """The unique Witt vector with the given ghost coordinates, which it keeps: the Newton recursion n*an = bn +
+    a1*b_{n-1} + ... + a_{n-1}*b1, whose n-th step divides by n and raises IntegralityError (carrying n) if the
+    coordinates are not the ghost vector of anything; over ZZ[z], over ZZ at z = 2^(8w), w fixed on 1-norms."""
     ring = g.ring
     if isinstance(ring, IntPolynomialRing):
-        a = _zpoly_newton(lambda k: _ghost_ints(WittVector._of(None, g), g.prec, k))
+        a = _zpoly_newton(lambda k: _int_ghosts(WittVector._of(None, g), g.prec, k))
     else:
-        a = _newton(ring, (ring.zero,) + g.coords, ring.divide_exact)
+        a = _newton(ring, (ring.zero, *g.coords))
     return WittVector._of(TruncatedSeries._make(ring, tuple(a)), g)
 
 
@@ -338,14 +362,18 @@ def _from_ghost(g: GhostVector, *operands: WittVector) -> WittVector:
 
 def witt_mul(p: WittVector, q: WittVector) -> WittVector:
     """The Witt product through ghost coordinates, unrealized when a factor is; mixed rings raise first.
-    Over ZZ[z], two realized factors run both ghost maps, their pointwise product and the Newton
-    recursion over ZZ at z = 2^(8w), w fixed by the same steps on 1-norms; the product keeps no ghosts."""
+    Over ZZ, two realized factors run both ghost maps, their product and Newton on plain ints, and the
+    product keeps its ghosts; over ZZ[z], the same over ZZ at z = 2^(8w), and the product keeps none."""
     if p.ring is not q.ring and p.ring != q.ring:
         raise ValueError("Witt vectors live over different rings")
-    prec = min(p.prec, q.prec)
-    if isinstance(p.ring, IntPolynomialRing) and p._series is not None and q._series is not None:
-        a = _zpoly_newton(lambda k: list(map(ZZ.mul, _ghost_ints(p, prec, k), _ghost_ints(q, prec, k))))
-        return WittVector(TruncatedSeries._make(p.ring, a))
+    prec, ring = min(p.prec, q.prec), p.ring
+    if p._series is not None and q._series is not None:
+        if type(ring) is IntegerRing:
+            b = list(map(mul, _int_ghosts(p, prec), _int_ghosts(q, prec)))
+            return WittVector._of(TruncatedSeries._make(ring, tuple(_newton_ints(b))), GhostVector._make(ring, tuple(b[1:])))
+        if isinstance(ring, IntPolynomialRing):
+            a = _zpoly_newton(lambda k: list(map(mul, _int_ghosts(p, prec, k), _int_ghosts(q, prec, k))))
+            return WittVector(TruncatedSeries._make(ring, a))
     return _from_ghost(ghost(p.truncate(prec)) * ghost(q.truncate(prec)), p, q)
 
 

@@ -1,16 +1,21 @@
 """Differential tests: the Witt kernel against the routes it replaced.
 
-The series product and inverse, ``ghost`` and ``ghost_inverse`` run their
-inner sums through one helper, started from each recurrence's boundary term,
+The series product and inverse, and ``ghost`` and ``ghost_inverse`` over rings
+other than ZZ and ZZ[z], run their inner sums through one helper, started from
+each recurrence's boundary term,
 and ``TruncatedSeries.pow_int`` and ``nth_root`` share the one-pass power
 recurrence.  The routes they replaced are kept here as oracles: the four
 recurrences as hand-written loops, each sum started from zero; the ghost map
 also as the series product t*P' * P^(-1); integer powers by square-and-multiply
 (inverting first for a negative exponent); and the n-th root degree by
 degree, re-raising the partial root to the n-th power at every step.
-``old_routes`` swaps the loops, the powers and the roots in, so a computation
-run under it uses the old routes at every nesting level, and the
+``old_routes`` swaps the loops, the powers and the roots in, and the Witt
+product as the Newton loop of the pointwise product of looped ghosts, so a
+computation run under it uses the old routes at every nesting level, and the
 series-quotient ghost run under it shares no code with the new kernel.
+Over ZZ the ghost map, its inverse and ``witt_mul`` run on plain int lists
+(and over ZZ[z] on packed ints); they are held to the loops on W_N(ZZ) up
+to N = 80 with coefficients up to 2^256, and on perturbed ghosts.
 
 The cases are Witt vectors and series over ZZ, ZZ[z], W_3(ZZ) and
 W_2(W_3(ZZ)); the last, at precision 2, are elements of the three-level
@@ -26,9 +31,11 @@ the route it replaced, one ghost map per Frobenius, is kept here verbatim
 and compared on vectors over ZZ (random, and Z of random E/F_p), ZZ[z] and
 W_2(ZZ), errors and their ``required`` included.  A vector carries ghost
 coordinates only from birth (``ghost_inverse`` and truncations of its
-outputs): every kind of vector the library makes must carry the ghost of its
+outputs, Teichmueller lifts, and sums, negatives and multiples of carrying
+vectors): every kind of vector the library makes must carry the ghost of its
 own series, and a vector built from coefficients runs the recurrence on each
-``ghost`` call, so no call leaves state behind.
+``ghost`` call, so no call leaves state behind, on the operands or on their
+coefficients (a ghost map over W_M(A) runs each coefficient's once, on a copy).
 """
 
 import functools
@@ -113,6 +120,16 @@ def ghost_inverse_by_loop(g: GhostVector) -> WittVector:
     return WittVector(TruncatedSeries._make(ring, tuple(a)))
 
 
+def witt_mul_through_ghosts(p: WittVector, q: WittVector) -> WittVector:
+    """The Witt product as the Newton inverse of the pointwise product of ghosts, through ``witt.ghost``
+    and ``witt.ghost_inverse`` (the loops under ``old_routes``); unrealized when a factor is."""
+    if p.ring != q.ring:
+        raise ValueError("Witt vectors live over different rings")
+    prec = min(p.prec, q.prec)
+    g = witt.ghost(p.truncate(prec)) * witt.ghost(q.truncate(prec))
+    return witt.ghost_inverse(g) if p._series is not None and q._series is not None else WittVector._of(None, g)
+
+
 def ghost_by_series_quotient(p: WittVector) -> GhostVector:
     """Ghost coordinates read off from the series product t*P' * P^(-1)."""
     ring = p.ring
@@ -156,6 +173,7 @@ def nth_root_by_powering(self: TruncatedSeries, n: int) -> TruncatedSeries:
 OLD_ROUTES = (
     (witt, "ghost", ghost_by_loop),
     (witt, "ghost_inverse", ghost_inverse_by_loop),
+    (witt, "witt_mul", witt_mul_through_ghosts),
     (TruncatedSeries, "__mul__", series_mul_by_loop),
     (TruncatedSeries, "inverse", inverse_by_loop),
     (TruncatedSeries, "pow_int", pow_by_squaring),
@@ -227,8 +245,39 @@ def test_ghost_and_witt_mul_match_the_series_quotient_route(case, data):
     assert new == old
     with old_routes():
         assert ghost_by_series_quotient(p).coords == old
-    new, old = on_both_routes(lambda: witt_mul(p, q).coeffs)
+    new, old = on_both_routes(lambda: witt.witt_mul(p, q).coeffs)
     assert new == old
+
+
+def int_coefficients(bits):
+    """A draw of integers up to 2^bits in absolute value, the edges +-(2^bits - 1) and small values mixed in."""
+    edge = 2**bits - 1
+    return st.one_of(st.integers(-edge, edge), st.sampled_from([edge, -edge, 0, 1, -1]), st.integers(-6, 6))
+
+
+@pytest.mark.parametrize("ring", [ZZ, ZPOLY], ids=["ZZ", "ZZ[z]"])
+@settings(DIFFERENTIAL, max_examples=30)
+@given(data=st.data())
+def test_int_kernels_match_the_ring_handle_loops(ring, data):
+    """ghost, witt_mul and ghost_inverse over ZZ (N <= 80) and ZZ[z] (N <= 12, the packed route), coefficients up
+    to 2^256 in absolute value, against the loops through the ring handle; ghosts off by delta at degree d raise
+    the same IntegralityError (degree and message) on both routes, at d itself when delta is 1."""
+    prec = data.draw(st.integers(1, 80 if ring is ZZ else 12))
+    coefficient = int_coefficients(data.draw(st.sampled_from([3, 64, 256])))
+    if ring is ZPOLY:
+        coefficient = st.lists(coefficient, max_size=4).map(IntPolynomial)
+    p, q = (WittVector.from_coeffs(ring, data.draw(st.lists(coefficient, min_size=prec, max_size=prec))) for _ in range(2))
+    new, old = on_both_routes(lambda: (witt.ghost(p).coords, witt.witt_mul(p, q).coeffs, witt.witt_mul(p, q)._ghost))
+    assert new[:2] == old[:2]
+    if ring is ZZ:  # the product over ZZ carries its ghosts, the pointwise product
+        assert new[2].coords == tuple(map(operator.mul, new[0], witt.ghost(q).coords))
+    g, d = list(new[0]), data.draw(st.integers(1, prec))
+    delta = data.draw(st.one_of(st.just(1), coefficient))
+    g[d - 1] = ring.add(g[d - 1], ring.check(delta))
+    new, old = on_both_routes(lambda: witt.ghost_inverse(GhostVector(ring, g)).coeffs)
+    assert new == old
+    if delta == 1 and d > 1:
+        assert new[:2] == ("IntegralityError", d)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -454,7 +503,7 @@ def test_every_vector_is_born_with_its_true_ghost(case, data):
     p = data.draw(witt_vectors(ring, prec))
     q = data.draw(witt_vectors(ring, prec))
     born = witt.ghost_inverse(witt.ghost(p))
-    n = data.draw(st.integers(1, prec))
+    n, k = data.draw(st.integers(1, prec)), data.draw(st.integers(-40, 40))
     made = [
         born,
         born.truncate(data.draw(st.integers(1, prec))),
@@ -466,11 +515,23 @@ def test_every_vector_is_born_with_its_true_ghost(case, data):
         witt.frobenius(p, n),
         witt.frobenius(born, n),
         WittRing(ring, prec).divide_exact(witt_scale(p, 2), 2),
+        witt.witt_neg(p),
+        witt.witt_neg(born),
+        witt.witt_neg(p.with_ghost()),
+        witt_scale(born, k),
+        witt_scale(p.with_ghost(), k),
+        witt_scale(p, k),
+        witt.teichmuller(data.draw(elements(ring)), prec, ring),
     ]
     if prec <= 4:
         made.append(sigma_witt(born, data.draw(st.integers(1, prec))))
+    if ring is not W23:  # products over W_2(A) of vectors over A, plain and carrying, and of their negatives
+        outer = WittRing(ring, prec)
+        made.append(witt_mul(WittVector.from_coeffs(outer, [p, born]), WittVector.from_coeffs(outer, [witt.witt_neg(q), q])))
     for v in made:
         assert ghost_is_the_recurrence(v)
+        inner = v.series.coeffs if isinstance(ring, WittRing) else ()
+        assert all(ghost_is_the_recurrence(c) for c in inner if c._ghost is not None)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -495,13 +556,13 @@ def test_sums_and_exact_quotients_of_carrying_vectors_are_born_with_their_true_g
 
 def test_ghost_of_a_vector_with_no_birth_ghost_runs_the_recurrence_every_time(monkeypatch):
     calls = []
-    conv = witt._conv
+    kernel = witt._ghost_ints
 
-    def counting_conv(*args):
-        calls.append(1)
-        return conv(*args)
+    def counting_kernel(a):  # one entry per step of the recurrence over ZZ
+        calls.extend([1] * (len(a) - 1))
+        return kernel(a)
 
-    monkeypatch.setattr(witt, "_conv", counting_conv)
+    monkeypatch.setattr(witt, "_ghost_ints", counting_kernel)
     v = WittVector.from_coeffs(ZZ, [3, -1, 4, 1, -5, 9])
     first = witt.ghost(v)
     once = len(calls)
@@ -516,6 +577,60 @@ def test_ghost_of_a_vector_with_no_birth_ghost_runs_the_recurrence_every_time(mo
     assert len(calls) == once and witt.ghost(carried) == first and len(calls) == once
     witt.ghost(v)
     assert len(calls) == 2 * once  # with_ghost made a copy and left v without a ghost
+
+
+def ghost_slots(x) -> list:
+    """(vector, the ghosts it carries) for x and, recursively, every Witt vector among its realized coefficients."""
+    if not isinstance(x, WittVector):
+        return []
+    inner = [] if x._series is None else [slot for c in x._series.coeffs for slot in ghost_slots(c)]
+    return [(x, x._ghost), *inner]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(DIFFERENTIAL, max_examples=12)
+@given(data=st.data())
+def test_operations_leave_the_ghosts_of_their_operands_as_they_were(case, data):
+    """ghost, witt_mul, witt_neg, witt_scale and frobenius store nothing on the vectors they are handed, at any
+    nesting level: a ghost map over W_M(A) gives each coefficient its ghosts on a copy."""
+    ring, max_prec = CASES[case]
+    prec = data.draw(st.integers(1, max_prec))
+    p, q = data.draw(witt_vectors(ring, prec)), data.draw(witt_vectors(ring, prec))
+    operands = [p, q, witt.ghost_inverse(witt.ghost(q)), p.with_ghost()]
+    if ring is not W23:
+        outer = WittRing(ring, prec)
+        operands += [WittVector.from_coeffs(outer, [p, q]), WittVector.from_coeffs(outer, [q, operands[2]])]
+    slots = [slot for v in operands for slot in ghost_slots(v)]
+    n, k = data.draw(st.integers(1, prec)), data.draw(st.integers(-5, 5))
+    for x in operands:
+        witt.ghost(x)
+        witt.witt_neg(x)
+        witt_scale(x, k)
+        frobenius(x, min(n, x.prec))
+        for y in operands:
+            if x.ring == y.ring:
+                witt_mul(x, y)
+    assert all(v._ghost is g for v, g in slots)
+
+
+def test_a_nested_product_runs_one_ghost_map_per_inner_coefficient(monkeypatch):
+    """witt_mul over W_6(W_6(ZZ)) of vectors without ghosts: one ghost map over ZZ for each of the 12 inner
+    coefficients, none for the products, sums, negatives and multiples built from them."""
+    calls = []
+    kernel = witt._ghost_ints
+
+    def counting_kernel(a):
+        calls.append(len(a) - 1)
+        return kernel(a)
+
+    monkeypatch.setattr(witt, "_ghost_ints", counting_kernel)
+    inner = WittRing(ZZ, 6)
+    p, q = (WittVector.from_coeffs(inner, [WittVector.from_coeffs(ZZ, [(i * j + s) % 7 - 3 for j in range(6)])
+                                           for i in range(6)]) for s in (1, 2))
+    product = witt_mul(p, q)
+    assert calls == [6] * 12
+    with old_routes():
+        assert plain(product) == plain(witt.witt_mul(p, q))
 
 
 def test_ghost_inverse_still_refuses_coordinates_of_no_witt_vector():

@@ -65,13 +65,13 @@ def test_ghost_of_sigma_poly_runs_no_ghost_map(monkeypatch):
     f = IntPolynomial((3, -1, 0, 2))
     s = sigma_poly(f, 6)
     calls = []
-    real_conv = witt._conv
+    kernel = witt._ghost_ints  # the ZZ[z] ghost map runs it on packed coefficients
 
-    def counting_conv(*args):
-        calls.append(args[3])
-        return real_conv(*args)
+    def counting_kernel(a):
+        calls.append(len(a))
+        return kernel(a)
 
-    monkeypatch.setattr(witt, "_conv", counting_conv)
+    monkeypatch.setattr(witt, "_ghost_ints", counting_kernel)
     g = ghost(s)
     assert calls == []
     for n in range(1, 7):  # f(z^n) = 3 - z^n + 2 z^(3n)
