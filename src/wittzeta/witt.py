@@ -262,17 +262,19 @@ def witt_scale(p: WittVector, k: int) -> WittVector:
     return WittVector._of(None if p._series is None else p._series.pow_int(k), g)
 
 
+_NOT_A_GHOST = "no Witt vector has these ghost coordinates: the Newton step at degree {0} is not divisible by {0}"
+
+
 def _newton_step(divide: Callable[[Element, int], Element], s: Element, n: int) -> Element:
     """divide(s, n) = s/n for the Newton step at degree n, its IntegralityError raised again as the step's."""
     try:
         return divide(s, n)
     except IntegralityError as exc:
-        msg = f"no Witt vector has these ghost coordinates: the Newton step at degree {n} is not divisible by {n}"
-        raise IntegralityError(msg, degree=n) from exc
+        raise IntegralityError(_NOT_A_GHOST.format(n), degree=n) from exc
 
 
 def _ghost_map(ring: Ring, a: Sequence[Element]) -> list:
-    """[0, b1, ..., bN] from a = (1, a1, ..., aN): bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1), over ZZ on ints."""
+    """[0, b1, ..., bN] from a = (1, a1, ..., aN) by bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1), over ZZ on ints."""
     if type(ring) is IntegerRing:
         return _ghost_ints(a)
     b = [ring.zero]  # b[0] is never read
@@ -282,9 +284,13 @@ def _ghost_map(ring: Ring, a: Sequence[Element]) -> list:
 
 
 def _newton(ring: Ring, b: Sequence[Element]) -> list:
-    """[1, a1, ..., aN] from b = (0, b1, ..., bN): n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1, over ZZ on ints."""
+    """[1, a1, ..., aN] from b = (0, b1, ..., bN) by n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1, over ZZ on ints."""
     if type(ring) is IntegerRing:
-        return _newton_ints(b)
+        a, sums = _newton_ints(b)
+        for n, s in enumerate(sums, 1):
+            if s % n:
+                raise IntegralityError(_NOT_A_GHOST.format(n), degree=n)
+        return a
     a = [ring.one]
     for n in range(1, len(b)):
         a.append(_newton_step(ring.divide_exact, _conv(ring, a, b, n, b[n]), n))
@@ -299,32 +305,29 @@ def _ghost_ints(a: Sequence[int]) -> list:
     return b
 
 
-def _newton_ints(b: Sequence[int], exact: bool = True) -> list:
-    """``_newton`` over ZZ on plain ints; not exact, it rounds each step down and returns the steps' sums instead."""
+def _newton_ints(b: Sequence[int]) -> tuple:
+    """``_newton`` over ZZ on plain ints, each step rounded down: ([1, a1, ..., aN], [s1, ..., sN]), an = sn // n."""
     a, sums = [1], []
     for n in range(1, len(b)):
-        q, r = divmod(s := b[n] + sum(map(mul, a[1:n], b[n - 1 : 0 : -1])), n)
-        if r and exact:
-            _newton_step(ZZ.divide_exact, s, n)  # raises
-        a.append(q)
-        sums.append(s)
-    return a if exact else sums
+        sums.append(s := b[n] + sum(map(mul, a[1:n], b[n - 1 : 0 : -1])))
+        a.append(s // n)
+    return a, sums
 
 
-def _int_ghosts(p: WittVector, prec: int, k: int | None = None) -> list:
-    """[0, b1, ..., b_prec] of p over ZZ, or over ZZ[z] at z = 2^k, carried or by the ghost map over ZZ.  Over ZZ[z] at
-    k = 0, bounds on their 1-norms up to sign: the ghost map of minus the 1-norms gives all its terms one sign."""
-    cs = p._series.coeffs[: prec + 1] if p._ghost is None else p._ghost.coords[:prec]
-    if k is not None:
-        cs = [_pack(c.coeffs, k) for c in cs] if k else [-sum(map(abs, c.coeffs)) for c in cs]
-    return _ghost_ints(cs) if p._ghost is None else [0, *cs]
+def _int_ghosts(p: WittVector, prec: int, k: int) -> list:
+    """[0, b1, ..., b_prec] of p over ZZ[z] at z = 2^k, carried or by the ghost map over ZZ; at k = 0, bounds on their
+    1-norms up to sign: the ghost map of minus the 1-norms gives all its terms one sign."""
+    read = (lambda c: _pack(c.coeffs, k)) if k else (lambda c: -sum(map(abs, c.coeffs)))
+    if p._ghost is not None:
+        return [0, *map(read, p._ghost.coords[:prec])]
+    return _ghost_ints(list(map(read, p._series.coeffs[: prec + 1])))
 
 
 def _zpoly_newton(ghosts: Callable[[int], list]) -> tuple:
     """(1, a1, ..., aN) over ZZ[z] from ghosts(k) = [0, b1, ..., bN] at z = 2^k: Newton over ZZ at z = 2^(8w), w set by
     its sums on the bounds |ghosts(0)|; each packed sum, true up to the first inexact one, is unpacked and divided."""
-    w = _width(max(_newton_ints(list(map(abs, ghosts(0))), exact=False)).bit_length())
-    unpacked = (IntPolynomial._make(_unpack(s, w)) for s in _newton_ints(ghosts(8 * w), exact=False))
+    w = _width(max(_newton_ints(list(map(abs, ghosts(0))))[1]).bit_length())
+    unpacked = (IntPolynomial._make(_unpack(s, w)) for s in _newton_ints(ghosts(8 * w))[1])
     return (ZPOLY.one, *(_newton_step(ZPOLY.divide_exact, f, n) for n, f in enumerate(unpacked, 1)))
 
 
@@ -338,8 +341,8 @@ def ghost(p: WittVector) -> GhostVector:
     if isinstance(ring, IntPolynomialRing):
         w = _width(max(map(abs, _int_ghosts(p, p.prec, 0))).bit_length())
         return GhostVector._make(ring, tuple(IntPolynomial._make(_unpack(x, w)) for x in _int_ghosts(p, p.prec, 8 * w)[1:]))
-    if isinstance(ring, WittRing):
-        a = [c if c._ghost is not None else WittVector._of(c._series, ghost(c)) for c in a]
+    if isinstance(ring, WittRing):  # a[0] is never read
+        a = [a[0], *(c if c._ghost is not None else WittVector._of(c._series, ghost(c)) for c in a[1:])]
     return GhostVector._make(ring, tuple(_ghost_map(ring, a)[1:]))
 
 
@@ -362,18 +365,14 @@ def _from_ghost(g: GhostVector, *operands: WittVector) -> WittVector:
 
 def witt_mul(p: WittVector, q: WittVector) -> WittVector:
     """The Witt product through ghost coordinates, unrealized when a factor is; mixed rings raise first.
-    Over ZZ, two realized factors run both ghost maps, their product and Newton on plain ints, and the
-    product keeps its ghosts; over ZZ[z], the same over ZZ at z = 2^(8w), and the product keeps none."""
+    Over ZZ[z], two realized factors run both ghost maps, their pointwise product and the Newton
+    recursion over ZZ at z = 2^(8w), w fixed by the same steps on 1-norms; the product keeps no ghosts."""
     if p.ring is not q.ring and p.ring != q.ring:
         raise ValueError("Witt vectors live over different rings")
-    prec, ring = min(p.prec, q.prec), p.ring
-    if p._series is not None and q._series is not None:
-        if type(ring) is IntegerRing:
-            b = list(map(mul, _int_ghosts(p, prec), _int_ghosts(q, prec)))
-            return WittVector._of(TruncatedSeries._make(ring, tuple(_newton_ints(b))), GhostVector._make(ring, tuple(b[1:])))
-        if isinstance(ring, IntPolynomialRing):
-            a = _zpoly_newton(lambda k: list(map(mul, _int_ghosts(p, prec, k), _int_ghosts(q, prec, k))))
-            return WittVector(TruncatedSeries._make(ring, a))
+    prec = min(p.prec, q.prec)
+    if isinstance(p.ring, IntPolynomialRing) and p._series is not None and q._series is not None:
+        a = _zpoly_newton(lambda k: list(map(mul, _int_ghosts(p, prec, k), _int_ghosts(q, prec, k))))
+        return WittVector(TruncatedSeries._make(p.ring, a))
     return _from_ghost(ghost(p.truncate(prec)) * ghost(q.truncate(prec)), p, q)
 
 

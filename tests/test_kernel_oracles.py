@@ -9,13 +9,12 @@ recurrences as hand-written loops, each sum started from zero; the ghost map
 also as the series product t*P' * P^(-1); integer powers by square-and-multiply
 (inverting first for a negative exponent); and the n-th root degree by
 degree, re-raising the partial root to the n-th power at every step.
-``old_routes`` swaps the loops, the powers and the roots in, and the Witt
-product as the Newton loop of the pointwise product of looped ghosts, so a
-computation run under it uses the old routes at every nesting level, and the
+``old_routes`` swaps the loops, the powers and the roots in, so a computation
+run under it uses the old routes at every nesting level, and the
 series-quotient ghost run under it shares no code with the new kernel.
-Over ZZ the ghost map, its inverse and ``witt_mul`` run on plain int lists
-(and over ZZ[z] on packed ints); they are held to the loops on W_N(ZZ) up
-to N = 80 with coefficients up to 2^256, and on perturbed ghosts.
+Over ZZ the ghost map and its inverse run on plain int lists (and over ZZ[z]
+on packed ints); they, and ``witt_mul`` through them, are held to the loops on
+W_N(ZZ) up to N = 80 with coefficients up to 2^256, and on perturbed ghosts.
 
 The cases are Witt vectors and series over ZZ, ZZ[z], W_3(ZZ) and
 W_2(W_3(ZZ)); the last, at precision 2, are elements of the three-level
@@ -120,16 +119,6 @@ def ghost_inverse_by_loop(g: GhostVector) -> WittVector:
     return WittVector(TruncatedSeries._make(ring, tuple(a)))
 
 
-def witt_mul_through_ghosts(p: WittVector, q: WittVector) -> WittVector:
-    """The Witt product as the Newton inverse of the pointwise product of ghosts, through ``witt.ghost``
-    and ``witt.ghost_inverse`` (the loops under ``old_routes``); unrealized when a factor is."""
-    if p.ring != q.ring:
-        raise ValueError("Witt vectors live over different rings")
-    prec = min(p.prec, q.prec)
-    g = witt.ghost(p.truncate(prec)) * witt.ghost(q.truncate(prec))
-    return witt.ghost_inverse(g) if p._series is not None and q._series is not None else WittVector._of(None, g)
-
-
 def ghost_by_series_quotient(p: WittVector) -> GhostVector:
     """Ghost coordinates read off from the series product t*P' * P^(-1)."""
     ring = p.ring
@@ -173,7 +162,6 @@ def nth_root_by_powering(self: TruncatedSeries, n: int) -> TruncatedSeries:
 OLD_ROUTES = (
     (witt, "ghost", ghost_by_loop),
     (witt, "ghost_inverse", ghost_inverse_by_loop),
-    (witt, "witt_mul", witt_mul_through_ghosts),
     (TruncatedSeries, "__mul__", series_mul_by_loop),
     (TruncatedSeries, "inverse", inverse_by_loop),
     (TruncatedSeries, "pow_int", pow_by_squaring),
@@ -245,7 +233,7 @@ def test_ghost_and_witt_mul_match_the_series_quotient_route(case, data):
     assert new == old
     with old_routes():
         assert ghost_by_series_quotient(p).coords == old
-    new, old = on_both_routes(lambda: witt.witt_mul(p, q).coeffs)
+    new, old = on_both_routes(lambda: witt_mul(p, q).coeffs)
     assert new == old
 
 
