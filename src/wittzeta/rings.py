@@ -18,23 +18,18 @@ the ghost map and its Newton inverse of ``wittzeta.witt`` over rings other than
 ZZ and ZZ[z], which run on plain ints) share one inner sum, ``_conv``, through
 the ring handle from each recurrence's boundary term; none multiplies by a
 constant term known to be 1, and over ZZ and ZZ[z] a product or inverse stops
-each sum at a polynomial operand's last nonzero term.  Elements of ZZ[z]
-multiply by Kronecker substitution from _PACK_MIN coefficients on, one integer
-product each: z = 2^(8w) maps ZZ[z] to ZZ, injectively on coefficients below
-2^(8w-1) in absolute value (``_pack``, ``_unpack``).
+each sum at a polynomial operand's last nonzero term.
 """
 
 from __future__ import annotations
 
 import operator
-import sys
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import IntegralityError
 
 Element = Any
-_PACK_MIN = 9  # IntPolynomial products pack from this shorter-operand length on, measured on W_8(ZZ[z])
 
 
 def binary_power(x: Element, e: int, mul: Callable[[Element, Element], Element], one: Element) -> Element:
@@ -143,45 +138,13 @@ class IntegerRing(Ring):
         return "ZZ"
 
 
-def _width(bits: int) -> int:
-    """Bytes a slot needs for signed values of at most bits bits: 8*w - 1 > bits, at least 8 (64-bit words)."""
-    return max(8, (bits + 8) >> 3)
-
-
-def _pack(cs: Sequence[int], k: int) -> int:
-    """The polynomial with coefficients cs at z = 2^k, by Horner shifts."""
-    x = 0
-    for c in reversed(cs):
-        x = (x << k) + c
-    return x
-
-
-def _unpack(x: int, w: int) -> list:
-    """The signed w-byte slots of x, all below 2^(8w-1) in absolute value.  2^(8w-1) added to each slot makes
-    them nonnegative, so one to_bytes splits x (as 64-bit words at w = 8): linear in the slot count."""
-    n = x.bit_length() // (8 * w) + 1
-    bias, half = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little"), 1 << (8 * w - 1)  # half in every slot
-    raw = (x + bias).to_bytes(w * n, "little")
-    if w == 8 and sys.byteorder == "little":  # raw is n native 64-bit words
-        return [v - half for v in memoryview(raw).cast("Q")]
-    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * n, w)]
-
-
-def _kronecker(a: tuple, b: tuple) -> list:
-    """a*b, len(a) <= len(b), by one integer product (Kronecker substitution; Harvey 2009): slots of w >= 8
-    bytes hold every product coefficient c, |c| <= max|a|*max|b|*len(a)."""
-    w = _width(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length())
-    return _unpack(_pack(a, 8 * w) * _pack(b, 8 * w), w)
-
-
 class IntPolynomial:
     """Integer polynomial stored as ascending coefficients, no trailing zeros.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
-    Arithmetic accepts plain ints wherever a polynomial is expected.  A product
-    whose shorter operand has _PACK_MIN or more coefficients is one integer
-    product (``_kronecker``), a shorter one the coefficient loop.  Results of
-    arithmetic are built by ``_make``; only the constructor validates.
+    Arithmetic accepts plain ints wherever a polynomial is expected; a product
+    is the coefficient loop, skipping zero terms of its shorter operand.  Results
+    of arithmetic are built by ``_make``; only the constructor validates.
     """
 
     __slots__ = ("coeffs",)
@@ -257,8 +220,6 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        if len(a) >= _PACK_MIN:
-            return IntPolynomial._make(_kronecker(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:

@@ -26,21 +26,21 @@ an integral vector, so realizing it cannot raise).  Sums, products,
 Frobenius images and truncations with an unrealized operand stay pointwise
 and unrealized; realized operands give realized results, eagerly.
 
-Over ZZ, ``ghost``, ``ghost_inverse`` and ``witt_mul`` of realized vectors run
-the recurrences on plain ints, one C-level sum of products a step; over ZZ[z], on
-coefficients packed at z = 2^(8w) (Kronecker substitution), w fixed first by running
-them on 1-norms: ||f*g|| <= ||f||*||g||, ||f + g|| <= ||f|| + ||g||, and an exact
-division by n divides the norm by n.  Other rings run them through the ring handle.
+Over ZZ the two recurrences run on plain ints, one C-level sum of products a
+step; over ZZ[z], on coefficients packed at z = 2^(8w) (Kronecker substitution),
+w fixed first by running them on 1-norms: ||f*g|| <= ||f||*||g||, ||f + g|| <=
+||f|| + ||g||, and an exact division by n divides the norm by n.  Other rings run
+them through the ring handle.  ``_ghost_map`` and ``_newton`` alone choose by ring.
 """
 
 from __future__ import annotations
 
+import sys
 from operator import mul
 from typing import Any, Callable, Sequence
 
 from .errors import IntegralityError, PrecisionError
-from .rings import ZPOLY, ZZ, IntegerRing, IntPolynomial, IntPolynomialRing, Ring, TruncatedSeries, binary_power
-from .rings import _conv, _pack, _unpack, _width
+from .rings import ZZ, IntegerRing, IntPolynomial, IntPolynomialRing, Ring, TruncatedSeries, _conv, binary_power
 
 Element = Any
 
@@ -53,9 +53,9 @@ class WittVector:
     characterized by [a]*[b] = [ab] on Teichmueller lifts.  Comparison of
     vectors with different precision is allowed and compares coefficients
     up to the common precision.  Vectors from ``ghost_inverse``, ``with_ghost``, ``teichmuller``
-    (so ``witt_one``), Witt products over any ring but ZZ[z], Frobenius images and powers, their
-    truncations, and sums, negatives, multiples and exact quotients (``WittRing.divide_exact``)
-    of carrying vectors carry ghost coordinates from birth, never set later.
+    (so ``witt_one``), Witt products, Frobenius images and powers, their truncations, and sums,
+    negatives, multiples and exact quotients (``WittRing.divide_exact``) of carrying vectors
+    carry ghost coordinates from birth, never set later.
     """
 
     __slots__ = ("_series", "_ghost")
@@ -273,10 +273,38 @@ def _newton_step(divide: Callable[[Element, int], Element], s: Element, n: int) 
         raise IntegralityError(_NOT_A_GHOST.format(n), degree=n) from exc
 
 
+def _width(bits: int) -> int:
+    """Bytes a slot needs for signed values of at most bits bits: 8*w - 1 > bits, at least 8 (64-bit words)."""
+    return max(8, (bits + 8) >> 3)
+
+
+def _pack(cs: Sequence[int], k: int) -> int:
+    """The polynomial with coefficients cs at z = 2^k, by Horner shifts."""
+    x = 0
+    for c in reversed(cs):
+        x = (x << k) + c
+    return x
+
+
+def _unpack(x: int, w: int) -> IntPolynomial:
+    """The polynomial of the signed w-byte slots of x, all below 2^(8w-1) in absolute value.  2^(8w-1) added to
+    each slot makes them nonnegative, so one to_bytes splits x (as 64-bit words at w = 8): linear in the slots."""
+    n = x.bit_length() // (8 * w) + 1
+    bias, half = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little"), 1 << (8 * w - 1)  # half in every slot
+    raw = (x + bias).to_bytes(w * n, "little")
+    if w == 8 and sys.byteorder == "little":  # raw is n native 64-bit words
+        return IntPolynomial._make([v - half for v in memoryview(raw).cast("Q")])
+    return IntPolynomial._make([int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * n, w)])
+
+
 def _ghost_map(ring: Ring, a: Sequence[Element]) -> list:
-    """[0, b1, ..., bN] from a = (1, a1, ..., aN) by bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1), over ZZ on ints."""
+    """[0, b1, ..., bN] from a = (1, a1, ..., aN) by bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1).  Over ZZ on ints;
+    over ZZ[z] on ints packed at z = 2^(8w), w fixed by the pass on minus the 1-norms, whose terms all have one sign."""
     if type(ring) is IntegerRing:
         return _ghost_ints(a)
+    if type(ring) is IntPolynomialRing:
+        w = _width(max(map(abs, _ghost_ints([-sum(map(abs, c.coeffs)) for c in a]))).bit_length())
+        return [ring.zero, *(_unpack(x, w) for x in _ghost_ints([_pack(c.coeffs, 8 * w) for c in a])[1:])]
     b = [ring.zero]  # b[0] is never read
     for n in range(1, len(a)):
         b.append(ring.neg(_conv(ring, a, b, n, ring.scalar_mul(a[n], -n))))
@@ -284,13 +312,19 @@ def _ghost_map(ring: Ring, a: Sequence[Element]) -> list:
 
 
 def _newton(ring: Ring, b: Sequence[Element]) -> list:
-    """[1, a1, ..., aN] from b = (0, b1, ..., bN) by n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1, over ZZ on ints."""
+    """[1, a1, ..., aN] from b = (0, b1, ..., bN) by n*an = bn + a1*b_{n-1} + ... + a_{n-1}*b1.  Over ZZ on ints;
+    over ZZ[z] on ints packed at z = 2^(8w), w fixed by the sums on the 1-norms, each packed sum (true up to the
+    first inexact one) unpacked and divided by n."""
     if type(ring) is IntegerRing:
         a, sums = _newton_ints(b)
         for n, s in enumerate(sums, 1):
             if s % n:
                 raise IntegralityError(_NOT_A_GHOST.format(n), degree=n)
         return a
+    if type(ring) is IntPolynomialRing:
+        w = _width(max(_newton_ints([sum(map(abs, c.coeffs)) for c in b])[1]).bit_length())
+        sums = _newton_ints([_pack(c.coeffs, 8 * w) for c in b])[1]
+        return [ring.one, *(_newton_step(ring.divide_exact, _unpack(s, w), n) for n, s in enumerate(sums, 1))]
     a = [ring.one]
     for n in range(1, len(b)):
         a.append(_newton_step(ring.divide_exact, _conv(ring, a, b, n, b[n]), n))
@@ -314,33 +348,13 @@ def _newton_ints(b: Sequence[int]) -> tuple:
     return a, sums
 
 
-def _int_ghosts(p: WittVector, prec: int, k: int) -> list:
-    """[0, b1, ..., b_prec] of p over ZZ[z] at z = 2^k, carried or by the ghost map over ZZ; at k = 0, bounds on their
-    1-norms up to sign: the ghost map of minus the 1-norms gives all its terms one sign."""
-    read = (lambda c: _pack(c.coeffs, k)) if k else (lambda c: -sum(map(abs, c.coeffs)))
-    if p._ghost is not None:
-        return [0, *map(read, p._ghost.coords[:prec])]
-    return _ghost_ints(list(map(read, p._series.coeffs[: prec + 1])))
-
-
-def _zpoly_newton(ghosts: Callable[[int], list]) -> tuple:
-    """(1, a1, ..., aN) over ZZ[z] from ghosts(k) = [0, b1, ..., bN] at z = 2^k: Newton over ZZ at z = 2^(8w), w set by
-    its sums on the bounds |ghosts(0)|; each packed sum, true up to the first inexact one, is unpacked and divided."""
-    w = _width(max(_newton_ints(list(map(abs, ghosts(0))))[1]).bit_length())
-    unpacked = (IntPolynomial._make(_unpack(s, w)) for s in _newton_ints(ghosts(8 * w))[1])
-    return (ZPOLY.one, *(_newton_step(ZPOLY.divide_exact, f, n) for n, f in enumerate(unpacked, 1)))
-
-
 def ghost(p: WittVector) -> GhostVector:
     """Ghost coordinates b1..bN of t*P'/P: those p was born with, else (storing nothing on p) one pass of
-    bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1) from P*B = t*P'; over ZZ[z] at z = 2^(8w), w fixed by a pass
-    on 1-norms, and over W_M(A) with each coefficient's own ghost map run once, for a copy that carries it."""
+    bn = n*an - (a1*b_{n-1} + ... + a_{n-1}*b1) from P*B = t*P'; over W_M(A) with each coefficient's own
+    ghost map run once, for a copy that carries it."""
     if p._ghost is not None:
         return p._ghost
     ring, a = p.ring, p._series.coeffs
-    if isinstance(ring, IntPolynomialRing):
-        w = _width(max(map(abs, _int_ghosts(p, p.prec, 0))).bit_length())
-        return GhostVector._make(ring, tuple(IntPolynomial._make(_unpack(x, w)) for x in _int_ghosts(p, p.prec, 8 * w)[1:]))
     if isinstance(ring, WittRing):  # a[0] is never read
         a = [a[0], *(c if c._ghost is not None else WittVector._of(c._series, ghost(c)) for c in a[1:])]
     return GhostVector._make(ring, tuple(_ghost_map(ring, a)[1:]))
@@ -349,13 +363,9 @@ def ghost(p: WittVector) -> GhostVector:
 def ghost_inverse(g: GhostVector) -> WittVector:
     """The unique Witt vector with the given ghost coordinates, which it keeps: the Newton recursion n*an = bn +
     a1*b_{n-1} + ... + a_{n-1}*b1, whose n-th step divides by n and raises IntegralityError (carrying n) if the
-    coordinates are not the ghost vector of anything; over ZZ[z], over ZZ at z = 2^(8w), w fixed on 1-norms."""
+    coordinates are not the ghost vector of anything."""
     ring = g.ring
-    if isinstance(ring, IntPolynomialRing):
-        a = _zpoly_newton(lambda k: _int_ghosts(WittVector._of(None, g), g.prec, k))
-    else:
-        a = _newton(ring, (ring.zero, *g.coords))
-    return WittVector._of(TruncatedSeries._make(ring, tuple(a)), g)
+    return WittVector._of(TruncatedSeries._make(ring, tuple(_newton(ring, (ring.zero, *g.coords)))), g)
 
 
 def _from_ghost(g: GhostVector, *operands: WittVector) -> WittVector:
@@ -364,15 +374,11 @@ def _from_ghost(g: GhostVector, *operands: WittVector) -> WittVector:
 
 
 def witt_mul(p: WittVector, q: WittVector) -> WittVector:
-    """The Witt product through ghost coordinates, unrealized when a factor is; mixed rings raise first.
-    Over ZZ[z], two realized factors run both ghost maps, their pointwise product and the Newton
-    recursion over ZZ at z = 2^(8w), w fixed by the same steps on 1-norms; the product keeps no ghosts."""
+    """The Witt product through ghost coordinates, born with their pointwise product; unrealized when a
+    factor is.  Mixed rings raise first."""
     if p.ring is not q.ring and p.ring != q.ring:
         raise ValueError("Witt vectors live over different rings")
     prec = min(p.prec, q.prec)
-    if isinstance(p.ring, IntPolynomialRing) and p._series is not None and q._series is not None:
-        a = _zpoly_newton(lambda k: list(map(mul, _int_ghosts(p, prec, k), _int_ghosts(q, prec, k))))
-        return WittVector(TruncatedSeries._make(p.ring, a))
     return _from_ghost(ghost(p.truncate(prec)) * ghost(q.truncate(prec)), p, q)
 
 

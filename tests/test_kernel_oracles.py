@@ -32,7 +32,8 @@ W_2(ZZ), errors and their ``required`` included.  A vector carries ghost
 coordinates only from birth (``ghost_inverse`` and truncations of its
 outputs, Teichmueller lifts, and sums, negatives and multiples of carrying
 vectors): every kind of vector the library makes must carry the ghost of its
-own series, and a vector built from coefficients runs the recurrence on each
+own series, W_N(ZZ[z]) products of every form of factor the pointwise product
+of their ghosts, and a vector built from coefficients runs the recurrence on each
 ``ghost`` call, so no call leaves state behind, on the operands or on their
 coefficients (a ghost map over W_M(A) runs each coefficient's once, on a copy).
 """
@@ -516,6 +517,18 @@ def test_every_vector_is_born_with_its_true_ghost(case, data):
     if ring is not W23:  # products over W_2(A) of vectors over A, plain and carrying, and of their negatives
         outer = WittRing(ring, prec)
         made.append(witt_mul(WittVector.from_coeffs(outer, [p, born]), WittVector.from_coeffs(outer, [witt.witt_neg(q), q])))
+    if ring is ZPOLY:  # W_N(ZZ[z]) products of realized, carrying and unrealized factors, both orders, mixed precisions
+        r = data.draw(witt_vectors(ring, data.draw(st.integers(1, max_prec))))
+        factors = []
+        for v in (p, r):  # each form with the ghosts of v by the loop, read before any product
+            g = ghost_by_loop(v).coords
+            factors += [(v, g), (witt.ghost_inverse(witt.ghost(v)), g), (v.with_ghost(), g)]
+        for x, gx in factors:
+            for y, gy in factors:
+                product = witt_mul(x, y)
+                assert (product._series is None) == (x._series is None or y._series is None)
+                assert product._ghost.coords == tuple(map(operator.mul, gx, gy))
+                made.append(product)
     for v in made:
         assert ghost_is_the_recurrence(v)
         inner = v.series.coeffs if isinstance(ring, WittRing) else ()

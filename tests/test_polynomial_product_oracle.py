@@ -1,15 +1,15 @@
-"""Differential tests: ``IntPolynomial`` products against the coefficient loop.
+"""Differential tests: ``IntPolynomial`` products against the schoolbook loop.
 
-A product whose shorter operand has at least ``rings._PACK_MIN``
-coefficients is one integer product (Kronecker substitution): both operands
-are packed at z = 2^(8w), multiplied once, and the product is read back slot
-by slot as signed digits.  The double loop every product used to run is kept
-here as ``schoolbook_product`` and is the oracle for all of them: lengths
+Every product of two polynomials is one coefficient loop that skips the zero
+terms of its shorter operand, its zero tail trimmed.  The double loop over both
+operands is kept here as ``schoolbook_product`` and is the oracle: lengths
 0..70, coefficients of 0..300 bits of both signs, the zero polynomial,
-constants, int operands, the sparse spreads f(z^n) that ``sigma_poly``
-builds, and slot-edge coefficients +-2^b and +-(2^b - 1).  The all-equal
-operands with 2^b - 1 coefficients put an output coefficient within a factor
-2 of the slot bound, so a slot one bit narrower than the bound fails them.
+constants, int operands, the sparse spreads f(z^n) that ``sigma_poly`` builds,
+and the edge coefficients +-2^b and +-(2^b - 1), all-equal ones among them.
+The W_N(ZZ[z]) recurrences multiply no polynomials: ``ghost`` and
+``ghost_inverse`` run the ZZ kernels on coefficients packed at z = 2^(8w), and
+a probe checks that they, ``witt_mul`` and ``sigma_poly`` make no ring-handle
+sum (``_conv``) over ZZ[z].
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from wittzeta import rings, witt
 from wittzeta.rings import IntPolynomial, ZPOLY
 from wittzeta.sigma import sigma_poly
-from wittzeta.witt import WittVector, witt_mul
+from wittzeta.witt import WittVector, ghost, ghost_inverse, witt_add, witt_mul
 
 ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -61,8 +61,8 @@ def assert_product(f: IntPolynomial, g: IntPolynomial) -> None:
 
 @ORACLE
 @given(f=polynomials, g=polynomials)
-@example(f=IntPolynomial([2**30 - 1] * 9), g=IntPolynomial([-(2**29 - 1)] * 9))  # 64-bit slots: w = 8
-@example(f=IntPolynomial([2**30 - 1] * 9), g=IntPolynomial([2**30 - 1] * 9))  # 65 bits: a 64-bit slot overflows
+@example(f=IntPolynomial([2**30 - 1] * 9), g=IntPolynomial([-(2**29 - 1)] * 9))  # a product coefficient of 63 bits
+@example(f=IntPolynomial([2**30 - 1] * 9), g=IntPolynomial([2**30 - 1] * 9))  # and of 64 bits
 @example(f=IntPolynomial([2**299 - 1] * 70), g=IntPolynomial([-(2**300)] * 70))
 def test_products_match_the_schoolbook_loop(f, g):
     assert_product(f, g)
@@ -101,34 +101,35 @@ def test_sparse_spreads_match_the_schoolbook_loop(f, g, n, m):
         schoolbook_product(spread(f, n), spread(f, n))))
 
 
-def test_products_from_the_cutoff_on_take_the_packed_path(monkeypatch):
-    calls = []
+def test_witt_kernels_over_zz_z_run_packed_with_no_ring_handle_sum(monkeypatch):
+    """W_8(ZZ[z]) witt_mul, ghost, ghost_inverse and sigma_poly make no ``_conv`` sum over ZZ[z]: each ghost map
+    and each Newton recursion is two int kernel runs, one on 1-norms and one on packed coefficients."""
+    conv_rings, kernel_runs = [], []
+    conv, ghost_ints, newton_ints = rings._conv, witt._ghost_ints, witt._newton_ints
 
-    def counted(a, b):
-        calls.append((len(a), len(b)))
-        return kronecker(a, b)
+    def counted_conv(ring, *args):
+        conv_rings.append(ring)
+        return conv(ring, *args)
 
-    kronecker = rings._kronecker
-    monkeypatch.setattr(rings, "_kronecker", counted)
-    short, long = IntPolynomial(range(1, rings._PACK_MIN + 1)), IntPolynomial(range(-40, 0))
-    assert_product(short, long)
-    assert calls == [(rings._PACK_MIN, 40)] * 2
-    calls.clear()
-    assert_product(IntPolynomial(range(1, rings._PACK_MIN)), long)
-    assert calls == []
-    packed = []
+    def counted(name, kernel):
+        def run(a):
+            kernel_runs.append(name)
+            return kernel(a)
+        return run
 
-    def counted_kernel(ghosts):
-        packed.append(ghosts)
-        return kernel(ghosts)
-
-    kernel = witt._zpoly_newton
-    monkeypatch.setattr(witt, "_zpoly_newton", counted_kernel)
+    for module in (rings, witt):
+        monkeypatch.setattr(module, "_conv", counted_conv)
+    monkeypatch.setattr(witt, "_ghost_ints", counted("ghost", ghost_ints))
+    monkeypatch.setattr(witt, "_newton_ints", counted("newton", newton_ints))
     p = WittVector.from_coeffs(ZPOLY, [IntPolynomial((k, -k, 3)) for k in range(1, 9)])
+    witt_add(p, p)
+    assert ZPOLY in conv_rings  # the series product over ZZ[z] runs _conv, so the probe sees it
+    conv_rings.clear()
     witt_mul(p, p)
+    assert ghost_inverse(ghost(p)) == p
     sigma_poly(IntPolynomial((1, -4, 6)), 8)
-    assert calls == []  # the W_8(ZZ[z]) kernels multiply packed integers, no IntPolynomial
-    assert len(packed) == 2  # one packed Newton recursion each
+    assert ZPOLY not in conv_rings
+    assert sorted(kernel_runs) == ["ghost"] * 6 + ["newton"] * 6
 
 
 @ORACLE
