@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
+from .errors import SpecError
 from .rings import IntPolynomial, Ring, ZPOLY, ZZ
 from .sigma import macdonald_poincare, sigma_int, specialize_polynomial_coefficients
 from .varieties import (
@@ -273,17 +274,14 @@ CRITERIA: tuple[tuple[str, Callable[[], str]], ...] = (
 
 
 def run_checks(names: Sequence[str] | None = None) -> list[dict]:
-    """Run the named checks (all by default) and report one dict per check."""
+    """Run the named checks (all by default) and report one dict per check; SpecError names any unknown ones."""
     table = dict(CRITERIA)
     if names is None:
-        selected = [name for name, _ in CRITERIA]
-    else:
-        unknown = [n for n in names if n not in table]
-        if unknown:
-            raise KeyError(f"unknown check names: {', '.join(unknown)}")
-        selected = list(names)
+        names = list(table)
+    if unknown := [n for n in names if n not in table]:
+        raise SpecError(f"unknown check names: {', '.join(unknown)}")
     results = []
-    for name in selected:
+    for name in names:
         try:
             detail = table[name]()
             results.append({"criterion": name, "passed": True, "detail": detail})

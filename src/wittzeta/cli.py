@@ -266,6 +266,8 @@ def cmd_witt(args: argparse.Namespace) -> int:
     if op == "unghost" and (args.teich or args.witt):
         raise SpecError("unghost reads --ghost coordinates only, no --teich or --witt operand")
     operands = _witt_operands(args)  # none for unghost
+    if op in ("neg", "ghost", "frob") and len(operands) != 1:
+        raise SpecError(f"{op} takes exactly one operand")
     if op == "unghost":
         if args.ghost is None:
             raise SpecError("unghost needs --ghost coordinates")
@@ -273,30 +275,19 @@ def cmd_witt(args: argparse.Namespace) -> int:
     elif op in ("add", "mul"):
         if len(operands) < 2:
             raise SpecError(f"{op} needs at least two operands")
-        acc = operands[0]
-        for rhs in operands[1:]:
-            acc = witt_add(acc, rhs) if op == "add" else witt_mul(acc, rhs)
-        result = acc
+        result = functools.reduce(witt_add if op == "add" else witt_mul, operands)
     elif op == "neg":
-        if len(operands) != 1:
-            raise SpecError("neg takes exactly one operand")
         result = witt_neg(operands[0])
     elif op == "teich":
         if len(args.teich) != 1 or args.witt:
             raise SpecError("teich takes exactly one --teich operand")
         result = operands[0]
-    elif op == "ghost":  # the ghost map is triangular: truncating its operand truncates its output
-        if len(operands) != 1:
-            raise SpecError("ghost takes exactly one operand")
-        result = operands[0]
     elif op == "frob":
-        if len(operands) != 1:
-            raise SpecError("frob takes exactly one operand")
         if args.index is None or args.index < 1:
             raise SpecError("frob needs a positive -n index")
         result = frobenius(operands[0], args.index)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SpecError(f"unknown witt operation {op!r}")
+    else:  # ghost, which is triangular: truncating its operand truncates its output
+        result = operands[0]
     if args.precision is not None and args.precision < result.prec:
         result = result.truncate(args.precision)
     if op == "ghost":
@@ -334,6 +325,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         if args.precision is None:
             raise SpecError("reconstruct --spec needs -N for the zeta precision")
         vector = spec_zeta(_decode_spec_arg(args), args.precision, _budget())
+    elif args.precision is not None:
+        raise SpecError("-N is the zeta precision of --spec; --witt takes none")
     else:
         vector = _read_wire(decode_witt, args.witt, "Witt vector document")
     _emit(encode_rational, rational_reconstruct(vector, args.dmax))
@@ -341,11 +334,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    names = None if not args.suites or args.suites == ["all"] else args.suites
-    try:
-        results = run_checks(names)
-    except KeyError as exc:
-        raise SpecError(exc.args[0]) from exc
+    results = run_checks(None if not args.suites or args.suites == ["all"] else args.suites)
     for entry in results:
         status = "PASS" if entry["passed"] else "FAIL"
         sys.stderr.write(f"{entry['criterion']}: {status} - {entry['detail']}\n")

@@ -29,6 +29,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from array import array
 from typing import Any, Callable, Iterator, Sequence
 
@@ -486,33 +487,24 @@ class MultiPoly:
 # --- minimal expression grammar: integers, variables, + - * ^, parentheses ---
 
 
+# \d is str.isdecimal, what int() reads (str.isdigit would pass superscripts too); \w is str.isalnum or "_"
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*^()])|(\S))")
+
+
 def _tokenize(text: str) -> list[tuple[str, str | int]]:
     tokens: list[tuple[str, str | int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdecimal():  # what int() reads: str.isdigit would pass superscripts too
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
+    for digits, word, op, other in _TOKEN.findall(text):
+        if digits:
             try:
-                tokens.append(("int", int(text[i:j])))
+                tokens.append(("int", int(digits)))
             except ValueError as exc:
-                raise SpecError(f"a {j - i}-digit literal in a polynomial is past the int/str digit limit") from exc
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*^()":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise SpecError(f"unexpected character {ch!r} in polynomial {text!r}")
+                raise SpecError(f"a {len(digits)}-digit literal in a polynomial is past the int/str digit limit") from exc
+        elif op:
+            tokens.append((op, op))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("name", word))
+        else:  # a word must start with a letter or "_", not with a numeral such as ² or ½
+            raise SpecError(f"unexpected character {(word or other)[0]!r} in polynomial {text!r}")
     return tokens
 
 

@@ -61,22 +61,24 @@ def spec_zeta(spec: VarietySpec, prec: int, budget: int = DEFAULT_ENUM_BUDGET) -
     return WittVector(TruncatedSeries(ZZ, closed_expansion(num, spec.q, lo, hi, prec)))
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of |n| (none of 0 or 1), ascending and repeated by multiplicity: trial division by 2,
+    then odd d, stops at the square root of the cofactor."""
+    n, factors, d = abs(n), [], 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            factors.append(d)
+        d += 1 if d == 2 else 2
+    return factors + [n] if n > 1 else factors
+
+
 def mobius(n: int) -> int:
     """The Moebius function, by trial factorization."""
     if n < 1:
         raise ValueError("mobius is defined on positive integers")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    primes = _prime_factors(n)
+    return 0 if len(set(primes)) < len(primes) else (-1) ** len(primes)
 
 
 def euler_product_zeta(counts: PointCounts, prec: int) -> WittVector:
@@ -115,18 +117,10 @@ def zeta_generating_series(
 
 
 def _divisors(n: int) -> list[int]:
-    """Divisors of |n| (none of 0), ascending; dividing out 2 and odd d stops at sqrt of the cofactor."""
-    n = abs(n)
-    divisors, d = [1] if n else [], 2
-    while d * d <= n:
-        power = divisors
-        while n % d == 0:
-            n //= d
-            power = [x * d for x in power]
-            divisors = divisors + power
-        d += 1 if d == 2 else 2
-    if n > 1:
-        divisors += [x * n for x in divisors]
+    """Divisors of |n| (none of 0), ascending."""
+    divisors = {1} if n else set()
+    for p in _prime_factors(n):
+        divisors |= {x * p for x in divisors}
     return sorted(divisors)
 
 

@@ -48,6 +48,15 @@ def test_witt_add_documents(capsys):
     assert doc == {"precision": 3, "coeffs": ["2", "3", "4"]}
 
 
+def test_witt_add_and_mul_fold_every_operand(capsys):
+    assert run_json(capsys, "witt", "mul", "--teich", "2", "--teich", "3", "--teich", "5", "-N", "4") == \
+        encode_witt(teichmuller(30, 4))
+    one = '{"precision":3,"coeffs":["1","1","1"]}'
+    ones = decode_witt(json.loads(one))
+    doc = run_json(capsys, "witt", "add", "--teich", "2", "--witt", one, "--witt", one, "-N", "3")
+    assert doc == encode_witt(witt_add(witt_add(teichmuller(2, 3), ones), ones))
+
+
 def test_witt_ghost(capsys):
     doc = run_json(capsys, "witt", "ghost", "--teich", "3", "-N", "3")
     assert doc == {"precision": 3, "ghost": ["3", "9", "27"]}
@@ -129,6 +138,37 @@ WITT = '{"precision":3,"coeffs":[1,2,3]}'
     ids=["unghost-teich", "unghost-witt", "add-index", "ghost-index", "unghost-index", "neg-ghost", "frob-ghost"],
 )
 def test_witt_refuses_a_flag_the_operation_does_not_read(capsys, argv, message):
+    code, out, err = run_cli(capsys, "witt", *argv)
+    assert_one_malformed_input_line(code, out, err)
+    assert json.loads(err)["error"]["message"] == message
+
+
+BAD_WITT = '{"precision":2}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["add", "--witt", WITT], "add needs at least two operands"),
+        (["mul", "--teich", "2", "-N", "3"], "mul needs at least two operands"),
+        (["neg", "--witt", WITT, "--witt", WITT], "neg takes exactly one operand"),
+        (["ghost", "--teich", "2", "--witt", WITT, "-N", "3"], "ghost takes exactly one operand"),
+        (["frob", "-n", "2", "--witt", WITT, "--witt", WITT], "frob takes exactly one operand"),
+        (["teich", "--teich", "2", "--teich", "3", "-N", "3"], "teich takes exactly one --teich operand"),
+        (["teich", "--teich", "2", "--witt", WITT, "-N", "3"], "teich takes exactly one --teich operand"),
+        (["unghost"], "unghost needs --ghost coordinates"),
+        (["frob", "-n", "0", "--witt", WITT], "frob needs a positive -n index"),
+        (["frob", "--witt", WITT], "frob needs a positive -n index"),
+        (["add", "--teich", "2", "--teich", "3"], "--teich operands need an explicit -N precision"),
+        (["teich", "--teich", "2"], "--teich operands need an explicit -N precision"),
+        # operands are decoded before they are counted
+        (["neg", "--witt", WITT, "--witt", BAD_WITT], "coeffs must be a list of length precision"),
+        (["add", "--witt", BAD_WITT], "coeffs must be a list of length precision"),
+    ],
+    ids=["add-one", "mul-one", "neg-two", "ghost-two", "frob-two", "teich-two-teich", "teich-witt", "unghost-none",
+         "frob-index-0", "frob-no-index", "teich-operand-no-N", "teich-no-N", "neg-bad-doc", "add-bad-doc"],
+)
+def test_witt_refuses_a_wrong_operand_count_or_index(capsys, argv, message):
     code, out, err = run_cli(capsys, "witt", *argv)
     assert_one_malformed_input_line(code, out, err)
     assert json.loads(err)["error"]["message"] == message
@@ -298,6 +338,15 @@ def test_reconstruct_requires_one_source(capsys):
     code, _, err = run_cli(capsys, "reconstruct", "--dmax", "2")
     assert code == 2
     assert json.loads(err)["error"]["code"] == "malformed-input"
+
+
+def test_reconstruct_witt_refuses_a_zeta_precision(capsys):
+    """-N sets the zeta precision of --spec; --witt reconstructs the document at its own precision."""
+    witt_doc = json.dumps(encode_witt(teichmuller(3, 6)))
+    for precision in ("3", "6", "8"):
+        code, out, err = run_cli(capsys, "reconstruct", "--witt", witt_doc, "--dmax", "1", "-N", precision)
+        assert_one_malformed_input_line(code, out, err)
+        assert json.loads(err)["error"]["message"] == "-N is the zeta precision of --spec; --witt takes none"
 
 
 # --- input handling and exit codes ---

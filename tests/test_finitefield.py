@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import string
 import sys
 import time
 from unittest import mock
@@ -706,6 +707,67 @@ def test_parse_polynomial_literal_past_the_digit_limit_is_a_spec_error(text):
     try:
         with pytest.raises(SpecError, match="5000-digit literal"):
             parse_polynomial(text, ("x",))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def tokenize_by_loop(text):
+    """The character loop the tokenizer's regular expression replaced: the oracle for its tokens and messages."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            try:
+                tokens.append(("int", int(text[i:j])))
+            except ValueError as exc:
+                raise SpecError(f"a {j - i}-digit literal in a polynomial is past the int/str digit limit") from exc
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j]))
+            i = j
+        elif ch in "+-*^()":
+            tokens.append((ch, ch))
+            i += 1
+        else:
+            raise SpecError(f"unexpected character {ch!r} in polynomial {text!r}")
+    return tokens
+
+
+def tokens_or_message(tokenize, text):
+    try:
+        return tokenize(text)
+    except SpecError as exc:
+        return str(exc)
+
+
+# decimal digits of another script, a superscript, a fraction, a roman numeral, letters outside ASCII,
+# no-break space, em space, zero-width space (not whitespace), tab and newline
+TOKEN_ALPHABET = string.ascii_letters + string.digits + "+-*^()_ @.,=" + "\u0663\u00b2\u00bd\u216b\u00e9\u4e2d\u00a0\u2003\u200b\t\n"
+
+
+@settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+@given(text=st.text(alphabet=TOKEN_ALPHABET, max_size=24))
+def test_tokenize_matches_the_character_loop(text):
+    assert tokens_or_message(finitefield._tokenize, text) == tokens_or_message(tokenize_by_loop, text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_tokenize_matches_the_character_loop_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        for text in ("7" * 5000, "x - " + "9" * 5000 + " ", "x^" + "1" * 4300 + "*y"):
+            assert tokens_or_message(finitefield._tokenize, text) == tokens_or_message(tokenize_by_loop, text)
+        assert "5000-digit literal" in tokens_or_message(finitefield._tokenize, "7" * 5000)
     finally:
         sys.set_int_max_str_digits(limit)
 

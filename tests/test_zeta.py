@@ -23,6 +23,7 @@ from wittzeta.varieties import (
 from wittzeta.witt import WittVector, ghost, teichmuller, witt_add, witt_one
 from wittzeta.zeta import (
     RationalFunction,
+    _divisors,
     closed_point_degree_counts,
     euler_product_zeta,
     mobius,
@@ -75,6 +76,22 @@ def test_mobius_values():
     assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
     with pytest.raises(ValueError):
         mobius(0)
+
+
+def test_mobius_and_divisors_match_their_definitions_up_to_3000():
+    """Every divisor listed by a sieve over d, and mobius as the function whose divisor sums vanish past n = 1."""
+    limit = 3000
+    divisors = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for m in range(d, limit + 1, d):
+            divisors[m].append(d)
+    mu = [0, 1] + [0] * (limit - 1)
+    for n in range(2, limit + 1):
+        mu[n] = -sum(mu[d] for d in divisors[n][:-1])
+    assert [mobius(n) for n in range(1, limit + 1)] == mu[1:]
+    assert _divisors(0) == []
+    for n in range(1, limit + 1):
+        assert _divisors(n) == _divisors(-n) == divisors[n], n
 
 
 def test_closed_point_degree_counts_affine_line():
