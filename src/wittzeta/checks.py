@@ -72,6 +72,10 @@ def _random_witt(rng: random.Random, ring: Ring, prec: int, sample: Callable) ->
     return WittVector.from_coeffs(ring, [sample(rng) for _ in range(prec)])
 
 
+def _random_inner(rng: random.Random) -> WittVector:
+    return _random_witt(rng, ZZ, 4, _random_int)
+
+
 def _ring_axioms(ring: Ring, p, q, r) -> None:
     pq = ring.mul(p, q)
     _require(ring.eq(ring.add(ring.add(p, q), r), ring.add(p, ring.add(q, r))), "addition is not associative")
@@ -105,12 +109,8 @@ def check_witt_ring_axioms() -> str:
         _require(ghost(WittVector((p * q).series)) == gp * gq, "ghost over ZZ[z] is not multiplicative")
     inner = WittRing(ZZ, 4)
     w44 = WittRing(inner, 4)
-
-    def sample_inner(r: random.Random) -> WittVector:
-        return _random_witt(r, ZZ, 4, _random_int)
-
     for _ in range(500):
-        p, q, r = (_random_witt(rng, inner, 4, sample_inner) for _ in range(3))
+        p, q, r = (_random_witt(rng, inner, 4, _random_inner) for _ in range(3))
         _ring_axioms(w44, p, q, r)
     return "500 instances in W_8(ZZ) and in W_4(W_4(ZZ)); ghost is a ring map over ZZ and ZZ[z]"
 
@@ -119,14 +119,10 @@ def check_ghost_roundtrip() -> str:
     """ghost_inverse(ghost(P)) == P on random vectors, nested included."""
     rng = random.Random(496)
     inner = WittRing(ZZ, 4)
-
-    def sample_inner(r: random.Random) -> WittVector:
-        return _random_witt(r, ZZ, 4, _random_int)
-
     cases: Sequence[tuple[Ring, int, Callable]] = (
         (ZZ, 8, _random_int),
         (ZPOLY, 8, _random_poly),
-        (inner, 4, sample_inner),
+        (inner, 4, _random_inner),
     )
     for ring, prec, sample in cases:
         for _ in range(500):

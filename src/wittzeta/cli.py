@@ -339,7 +339,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         status = "PASS" if entry["passed"] else "FAIL"
         sys.stderr.write(f"{entry['criterion']}: {status} - {entry['detail']}\n")
     passed = all(entry["passed"] for entry in results)
-    sys.stdout.write(json.dumps({"passed": passed, "results": results}, sort_keys=True, separators=(",", ":")) + "\n")
+    _emit(lambda: {"passed": passed, "results": results})
     return 0 if passed else 1
 
 
@@ -408,7 +408,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(4, "budget-exceeded", str(exc), required=exc.required, budget=exc.budget)
     except PrecisionError as exc:
         return _fail(5, "precision-shortfall", str(exc), required=exc.required)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a size past the platform's index range
         return _fail(2, "malformed-input", str(exc))
 
 

@@ -251,27 +251,19 @@ class IntPolynomial:
         return acc
 
     def div_exact(self, other: "IntPolynomial") -> "IntPolynomial | None":
-        """Exact quotient self/other over the integers, or None."""
+        """Exact quotient self/other over ZZ, or None: long division from the top (Knuth, TAOCP vol. 2, 4.6.1)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.leading()
-        while len(rem) >= len(other.coeffs) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(other.coeffs):
-                break
-            shift = len(rem) - len(other.coeffs)
-            q, r = divmod(rem[-1], lead)
+        rem, b = list(self.coeffs), other.coeffs
+        quot = [0] * max(len(rem) - len(b) + 1, 0)
+        for k in reversed(range(len(quot))):  # term k of the quotient clears rem's degree k + deg b
+            q, r = divmod(rem[k + len(b) - 1], b[-1])
             if r:
                 return None
-            quot[shift] = q
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= q * c
-        if any(rem):
-            return None
-        return IntPolynomial._make(quot)
+            quot[k] = q
+            for i, c in enumerate(b, k):
+                rem[i] -= q * c
+        return None if any(rem) else IntPolynomial._make(quot)
 
     def render(self, var: str = "z") -> str:
         if self.is_zero():

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import sys
 from operator import mul
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import IntegralityError, PrecisionError
 from .rings import ZZ, IntegerRing, IntPolynomial, IntPolynomialRing, Ring, TruncatedSeries, _conv, binary_power
@@ -70,8 +70,8 @@ class WittVector:
 
     @classmethod
     def _of(cls, series: TruncatedSeries | None, g: "GhostVector | None") -> "WittVector":
-        """A vector the library makes from its series, its ghost coordinates g (an integral vector's), or both."""
-        v = object.__new__(cls) if series is None else cls(series)
+        """An unchecked vector the library makes from its series, its ghosts g (an integral vector's), or both."""
+        v = object.__new__(cls)
         v._series, v._ghost = series, g
         return v
 
@@ -83,7 +83,7 @@ class WittVector:
         return self._series
 
     @classmethod
-    def from_coeffs(cls, ring: Ring, coeffs: Sequence[Element]) -> "WittVector":
+    def from_coeffs(cls, ring: Ring, coeffs: Iterable[Element]) -> "WittVector":
         """Build 1 + c1*t + ... + cN*t^N from the coefficients c1..cN."""
         return cls(TruncatedSeries(ring, (ring.one, *coeffs)))
 
@@ -106,12 +106,13 @@ class WittVector:
     def truncate(self, prec: int) -> "WittVector":
         if prec < 1:
             raise ValueError("precision must be at least 1")
+        if prec > self.prec:
+            raise ValueError(f"cannot extend precision {self.prec} to {prec}")
         if prec == self.prec:
             return self
         # the ghost map is triangular: the first prec coordinates are the truncation's
         g = None if self._ghost is None else GhostVector._make(self.ring, self._ghost.coords[:prec])
-        lazy = self._series is None and prec < self.prec
-        return WittVector._of(None if lazy else self.series.truncate(prec), g)
+        return WittVector._of(None if self._series is None else self._series.truncate(prec), g)
 
     def with_ghost(self) -> "WittVector":
         """This vector unrealized, known by its ghost coordinates: one ghost map, unless it has them."""
@@ -224,6 +225,8 @@ def witt_zero(ring: Ring, prec: int) -> WittVector:
 
 def teichmuller(a: Element, prec: int, ring: Ring = ZZ) -> WittVector:
     """The multiplicative lift [a] = 1/(1 - a*t), coefficients a^n, born with them as its ghost coordinates."""
+    if prec < 1:
+        raise ValueError("a Witt vector needs precision at least 1")
     a = ring.check(a)
     coeffs = [ring.one]
     for _ in range(prec):
@@ -265,10 +268,10 @@ def witt_scale(p: WittVector, k: int) -> WittVector:
 _NOT_A_GHOST = "no Witt vector has these ghost coordinates: the Newton step at degree {0} is not divisible by {0}"
 
 
-def _newton_step(divide: Callable[[Element, int], Element], s: Element, n: int) -> Element:
-    """divide(s, n) = s/n for the Newton step at degree n, its IntegralityError raised again as the step's."""
+def _newton_step(ring: Ring, s: Element, n: int) -> Element:
+    """s/n in ring for the Newton step at degree n, its IntegralityError raised again as the step's."""
     try:
-        return divide(s, n)
+        return ring.divide_exact(s, n)
     except IntegralityError as exc:
         raise IntegralityError(_NOT_A_GHOST.format(n), degree=n) from exc
 
@@ -324,10 +327,10 @@ def _newton(ring: Ring, b: Sequence[Element]) -> list:
     if type(ring) is IntPolynomialRing:
         w = _width(max(_newton_ints([sum(map(abs, c.coeffs)) for c in b])[1]).bit_length())
         sums = _newton_ints([_pack(c.coeffs, 8 * w) for c in b])[1]
-        return [ring.one, *(_newton_step(ring.divide_exact, _unpack(s, w), n) for n, s in enumerate(sums, 1))]
+        return [ring.one, *(_newton_step(ring, _unpack(s, w), n) for n, s in enumerate(sums, 1))]
     a = [ring.one]
     for n in range(1, len(b)):
-        a.append(_newton_step(ring.divide_exact, _conv(ring, a, b, n, b[n]), n))
+        a.append(_newton_step(ring, _conv(ring, a, b, n, b[n]), n))
     return a
 
 
@@ -414,7 +417,7 @@ def frobenius(p: WittVector, n: int) -> WittVector:
 
 def map_coefficients(p: WittVector, fn: Callable[[Element], Element], ring: Ring) -> WittVector:
     """Apply a ring map coefficient-wise, landing in the given ring."""
-    return WittVector(TruncatedSeries(ring, (ring.one, *map(fn, p.series.coeffs[1:]))))
+    return WittVector.from_coeffs(ring, map(fn, p.coeffs))
 
 
 class WittRing(Ring):

@@ -297,6 +297,13 @@ def test_closed_form_specs_at_precision_0_exit_2(capsys, spec, argv):
     assert json.loads(err)["error"]["code"] == "malformed-input"
 
 
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+@pytest.mark.parametrize("argv", [["zeta", "-N", str(10**20)], ["reconstruct", "-N", str(10**20), "--dmax", "2"],
+                                  ["sym", "-n", str(10**20), "-N", "1"]], ids=["zeta", "reconstruct", "sym"])
+def test_a_size_past_the_index_range_exits_2(capsys, spec, argv):
+    assert_one_malformed_input_line(*run_cli(capsys, *argv, "--spec", spec))
+
+
 # The least prime above 2^23: its O(p) count (2p) exceeded the default budget 2^24.
 P_PAST_2_23 = 8388617
 # The trace of y^2 = x^3 + x + 1 over F_8388617, computed once by the square-table

@@ -10,8 +10,16 @@ The W_N(ZZ[z]) recurrences multiply no polynomials: ``ghost`` and
 ``ghost_inverse`` run the ZZ kernels on coefficients packed at z = 2^(8w), and
 a probe checks that they, ``witt_mul`` and ``sigma_poly`` make no ring-handle
 sum (``_conv``) over ZZ[z].
+
+``div_exact`` is textbook long division, one pass from the top degree.  The
+loop it replaced, which re-trims and rescans its remainder on every step, is
+kept here as ``retrimming_division`` and is the oracle for the quotient or None:
+zero dividends, divisors longer than the dividend, non-monic divisors and
+negative leading coefficients, exact products f*g and f*g plus a remainder,
+and coefficients of up to 200 bits.
 """
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wittzeta import rings, witt
@@ -141,3 +149,59 @@ def test_exact_division_undoes_the_product_and_refuses_a_remainder(f, g, r):
     remainder = IntPolynomial(r.coeffs[: g.degree])  # of degree below deg g
     if not remainder.is_zero():
         assert (f * g + remainder).div_exact(g) is None
+
+
+def retrimming_division(f: IntPolynomial, g: IntPolynomial) -> "IntPolynomial | None":
+    """f/g over the integers, or None, as ``div_exact`` computed it before: the remainder's zero tail
+    popped and the whole remainder rescanned on every step."""
+    rem = list(f.coeffs)
+    quot = [0] * max(len(rem) - len(g.coeffs) + 1, 0)
+    lead = g.leading()
+    while len(rem) >= len(g.coeffs) and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) < len(g.coeffs):
+            break
+        shift = len(rem) - len(g.coeffs)
+        q, r = divmod(rem[-1], lead)
+        if r:
+            return None
+        quot[shift] = q
+        for i, c in enumerate(g.coeffs):
+            rem[shift + i] -= q * c
+    if any(rem):
+        return None
+    return IntPolynomial(quot)
+
+
+def assert_division(f: IntPolynomial, g: IntPolynomial) -> "IntPolynomial | None":
+    want, got = retrimming_division(f, g), f.div_exact(g)
+    assert (got is None) == (want is None)
+    assert got is None or got.coeffs == want.coeffs
+    return got
+
+
+divisors = coefficient_lists(max_len=9, max_bits=200).map(IntPolynomial).filter(lambda g: not g.is_zero())
+
+
+@ORACLE
+@given(f=coefficient_lists(max_len=14, max_bits=200).map(IntPolynomial), g=divisors,
+       r=coefficient_lists(max_len=9, max_bits=200).map(IntPolynomial))
+@example(f=IntPolynomial(), g=IntPolynomial((5, -3)), r=IntPolynomial())  # a zero dividend
+@example(f=IntPolynomial((1, 2)), g=IntPolynomial((1, 0, 0, 7)), r=IntPolynomial((4,)))  # a longer divisor
+@example(f=IntPolynomial((3, 0, -6)), g=IntPolynomial((2, -4)), r=IntPolynomial((1,)))  # negative leading term
+@example(f=IntPolynomial((7,)), g=IntPolynomial((-(2**200),)), r=IntPolynomial((2**199,)))  # a constant divisor
+def test_long_division_matches_the_retrimming_loop(f, g, r):
+    assert assert_division(f * g, g) == f
+    remainder = IntPolynomial(r.coeffs[: g.degree])  # of degree below deg g
+    if not remainder.is_zero():
+        assert assert_division(f * g + remainder, g) is None
+    assert_division(f * g + r, g)
+    assert_division(f, g)
+    assert_division(r, g)
+
+
+def test_division_by_the_zero_polynomial_raises():
+    for f in (IntPolynomial(), IntPolynomial((1, 2))):
+        with pytest.raises(ZeroDivisionError):
+            f.div_exact(IntPolynomial())

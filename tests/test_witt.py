@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wittzeta import witt
 from wittzeta.errors import IntegralityError, PrecisionError
 from wittzeta.rings import IntegerRing, IntPolynomial, TruncatedSeries, ZPOLY, ZZ
 from wittzeta.witt import (
@@ -48,6 +49,24 @@ def test_teichmuller_coefficients_are_powers():
     assert teichmuller(2, 3).coeffs == (2, 4, 8)
     assert teichmuller(1, 4) == witt_one(ZZ, 4)
     assert teichmuller(0, 4) == witt_zero(ZZ, 4)
+
+
+@pytest.mark.parametrize("make", [lambda: teichmuller(3, 0), lambda: teichmuller(3, -2), lambda: witt_one(ZZ, 0),
+                                  lambda: witt_one(ZPOLY, 0)])
+def test_teichmuller_and_witt_one_refuse_precision_below_1(make):
+    with pytest.raises(ValueError, match="^a Witt vector needs precision at least 1$"):
+        make()
+
+
+def test_truncate_refuses_a_higher_precision_before_realizing(monkeypatch):
+    runs = []
+    newton_ints = witt._newton_ints
+    monkeypatch.setattr(witt, "_newton_ints", lambda b: runs.append(b) or newton_ints(b))
+    unrealized = teichmuller(3, 6).with_ghost()
+    for p in (unrealized, teichmuller(3, 6)):
+        with pytest.raises(ValueError, match="^cannot extend precision 6 to 7$"):
+            p.truncate(7)
+    assert runs == [] and unrealized._series is None
 
 
 def test_witt_zero_is_the_series_one():
