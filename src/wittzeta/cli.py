@@ -13,9 +13,10 @@ array.  A rational function is {"num": [..], "den": [..]} with ascending
 coefficients starting at "1", plus a factored "display" string when the
 denominator splits into (1-ct) factors.
 
-Exit codes: 0 success, 1 failed check suite, 2 malformed input, 3
-integrality failure (inconsistent counts, non-divisible Newton step), 4
-point-counting budget exceeded, 5 precision shortfall.  The environment
+Exit codes: 0 success, 1 failed check suite, else the code of the first
+row of _EXITS an error matches: 2 malformed input, 3 integrality failure,
+4 point-counting budget exceeded, 5 precision shortfall, the stderr
+document adding the error's degree, required or budget when set.  The
 variable WITTZETA_ENUM_BUDGET overrides the default point-counting budget.
 Integers in these documents carry up to _WIRE_DIGITS digits, past CPython's
 int/str limit (which still holds for specs): more exits 2 in, 4 out.
@@ -66,14 +67,14 @@ _SPEC_FIELDS = {"affine": ("dim", "q"), "projective": ("dim", "q"), "elliptic": 
 _INT_SPECS = {"affine": AffineSpace, "projective": ProjectiveSpace, "elliptic": EllipticCurve}  # of their int fields
 
 
-def _lifted(convert: Callable[..., Any], *args: Any) -> Any:
-    """convert(*args) with CPython's int/str digit limit (3.10.7+) lifted for this call only."""
+def _lifted(convert: Callable[[], Any]) -> Any:
+    """convert() with CPython's int/str digit limit (3.10.7+) lifted for this call only."""
     if not hasattr(sys, "set_int_max_str_digits"):
-        return convert(*args)
+        return convert()
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return convert(*args)
+        return convert()
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -396,29 +397,22 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)  # built on the first main call, reused after
 
 
+# (type, code, kind), the first match wins: SpecError is a ValueError; OverflowError, a size past the index range
+_EXITS = ((IntegralityError, 3, "integrality-failure"), (BudgetError, 4, "budget-exceeded"),
+          (PrecisionError, 5, "precision-shortfall"), (ValueError, 2, "malformed-input"),
+          (OverflowError, 2, "malformed-input"))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SpecError as exc:
-        return _fail(2, "malformed-input", str(exc))
-    except IntegralityError as exc:
-        return _fail(3, "integrality-failure", str(exc), degree=exc.degree)
-    except BudgetError as exc:
-        return _fail(4, "budget-exceeded", str(exc), required=exc.required, budget=exc.budget)
-    except PrecisionError as exc:
-        return _fail(5, "precision-shortfall", str(exc), required=exc.required)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a size past the platform's index range
-        return _fail(2, "malformed-input", str(exc))
-
-
-def _fail(code: int, kind: str, message: str, **extra: Any) -> int:
-    payload = {"code": kind, "message": message}
-    for key, value in extra.items():
-        if value is not None:
-            payload[key] = value
-    sys.stderr.write(json.dumps({"error": payload}, sort_keys=True) + "\n")
-    return code
+    except tuple(cls for cls, _, _ in _EXITS) as exc:
+        code, kind = next((code, kind) for cls, code, kind in _EXITS if isinstance(exc, cls))
+        extras = ((key, getattr(exc, key, None)) for key in ("degree", "required", "budget"))
+        error = {"code": kind, "message": str(exc), **{key: value for key, value in extras if value is not None}}
+        sys.stderr.write(json.dumps({"error": error}, sort_keys=True) + "\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ gcd g in y of its polynomials at the other variables.  It visits one value
 of those per orbit of x -> x^p (``_orbit_points``) and weights the fibre
 by the orbit's size, since x -> x^p maps a fibre onto the next one in the
 orbit.  A quadratic g in characteristic 2 is sized by an absolute trace,
-the parity of the code's bits under one mask per walk (``_trace_mask``).
+the parity of the code's bits under one mask per walk (``_trace_mask``),
+whose bit i is the parity of a ghost coordinate of the reversed modulus.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from .errors import BudgetError, SpecError
 from .rings import IntPolynomial, binary_power
+from .witt import _ghost_ints
 
 DEFAULT_ENUM_BUDGET = 1 << 24
 _PARSE_PRODUCT_CAP = 1 << 20
@@ -647,14 +649,10 @@ def _fibres(polys: Sequence[MultiPoly], nvars: int, field: FiniteField, budget: 
 
 def _trace_mask(field: FiniteField) -> int:
     """The mask whose bit i is Tr_(F_q/F_2)(z^i), q = 2^k: the trace is F_2-linear on the code bits,
-    so Tr(u) is the parity of u & mask.  Tr(z^i) is the i-th power sum s_i of the modulus's roots, so
-    Newton's identities mod 2 give s_0 = k and s_i = i f_(k-i) + sum_(0<j<i) f_(k-j) s_(i-j), where
-    f_j is the t^j coefficient of the modulus."""
-    f, k = field.modulus.coeffs, field.k
-    sums = [k & 1]
-    for i in range(1, k):
-        sums.append((i * f[k - i] + sum(f[k - j] * sums[i - j] for j in range(1, i))) & 1)
-    return sum(s << i for i, s in enumerate(sums))  # z^i is the code 2^i
+    so Tr(u) is the parity of u & mask.  Tr(z^i) is the power sum s_i of the modulus's roots r: s_0 = k,
+    and s_i is minus the i-th ghost coordinate of the reversed modulus prod (1 - r t), read mod 2."""
+    ghosts = _ghost_ints(field.modulus.coeffs[::-1])
+    return (field.k & 1) | sum((b & 1) << i for i, b in enumerate(ghosts[1:field.k], 1))  # z^i is the code 2^i
 
 
 def _fibre_size(field: FiniteField, arith: FiniteField, mask: int, g: list) -> int:

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from wittzeta.cli import (
     _emit, _int_from_wire, _int_to_wire, decode_spec, decode_witt, encode_ghost, encode_rational, encode_witt, main,
 )
-from wittzeta.errors import ReconstructionError
+from wittzeta.errors import (
+    BudgetError, InconsistentCountsError, IntegralityError, PrecisionError, ReconstructionError, SpecError,
+)
 from wittzeta.finitefield import is_prime
 from wittzeta.rings import IntPolynomial, ZZ
 from wittzeta.sigma import sigma_witt
@@ -516,6 +518,35 @@ def test_exit_code_5_on_precision_shortfall(capsys):
     error = json.loads(err)["error"]
     assert (error["code"], error["required"]) == ("precision-shortfall", 3)
     assert error["message"] == "count N_3 requested but only range 1 is known"
+
+
+# each error the library raises, with the exit code and the whole stderr line it is documented to give
+EXIT_ROWS = [
+    (SpecError("bad spec"), 2, '{"error": {"code": "malformed-input", "message": "bad spec"}}'),
+    (IntegralityError("not divisible", degree=7), 3,
+     '{"error": {"code": "integrality-failure", "degree": 7, "message": "not divisible"}}'),
+    (IntegralityError("not divisible"), 3, '{"error": {"code": "integrality-failure", "message": "not divisible"}}'),
+    (InconsistentCountsError("no variety", degree=2), 3,
+     '{"error": {"code": "integrality-failure", "degree": 2, "message": "no variety"}}'),
+    (BudgetError("too big", required=256, budget=100), 4,
+     '{"error": {"budget": 100, "code": "budget-exceeded", "message": "too big", "required": 256}}'),
+    (PrecisionError("too short", required=4), 5,
+     '{"error": {"code": "precision-shortfall", "message": "too short", "required": 4}}'),
+    (ReconstructionError("no match", required=9), 5,
+     '{"error": {"code": "precision-shortfall", "message": "no match", "required": 9}}'),
+    (ValueError("bad value"), 2, '{"error": {"code": "malformed-input", "message": "bad value"}}'),
+    (OverflowError("too large"), 2, '{"error": {"code": "malformed-input", "message": "too large"}}'),
+]
+
+
+@pytest.mark.parametrize("error, code, line", EXIT_ROWS,
+                         ids=["spec", "integrality", "integrality-no-degree", "inconsistent-counts", "budget",
+                              "precision", "reconstruction", "value", "overflow"])
+def test_each_error_exits_with_its_documented_code_and_line(capsys, monkeypatch, error, code, line):
+    def raise_error(*args):
+        raise error
+    monkeypatch.setattr("wittzeta.cli.spec_zeta", raise_error)
+    assert run_cli(capsys, "zeta", "--spec", '{"type":"affine","dim":1,"q":2}', "-N", "1") == (code, "", line + "\n")
 
 
 def test_budget_env_var_must_be_positive(capsys, monkeypatch):

@@ -27,7 +27,9 @@ length of a point list from a square table of q ``mul`` calls and against
 the Euler-criterion sum; ``closed_point_counts`` (a divisor pass over
 enumerated counts) against an orbit walk by ``field.pow`` over points
 found by those two oracles.  The characteristic-2 trace mask is checked
-against the sum of Frobenius powers at every element of F_(2^k), k <= 12.
+against the sum of Frobenius powers at every element of F_(2^k), k <= 12,
+and against the mod-2 Newton loop it replaced (``trace_mask_by_newton_loop``)
+on 250 moduli of degree up to 24.
 """
 import functools
 import itertools
@@ -313,6 +315,27 @@ def test_trace_mask_gives_the_frobenius_sum_trace(k):
         mask = _trace_mask(field)
         assert 0 <= mask < field.size
         assert all((u & mask).bit_count() % 2 == absolute_trace(field, u) for u in field.elements())
+
+
+def trace_mask_by_newton_loop(field):
+    """The trace mask by Newton's identities mod 2, the route ``_trace_mask`` replaced: s_0 = k and
+    s_i = i f_(k-i) + sum_(0<j<i) f_(k-j) s_(i-j), f_j the t^j coefficient of the modulus."""
+    f, k = field.modulus.coeffs, field.k
+    sums = [k & 1]
+    for i in range(1, k):
+        sums.append((i * f[k - i] + sum(f[k - j] * sums[i - j] for j in range(1, i))) & 1)
+    return sum(s << i for i, s in enumerate(sums))  # z^i is the code 2^i
+
+
+def test_trace_mask_from_ghosts_matches_the_newton_loop():
+    """On the default modulus of every F_(2^k), k <= 24, and every irreducible modulus of degree <= 10:
+    250 moduli, no field tables built."""
+    fields = [FiniteField(2, k) for k in range(1, 25)]
+    for k in range(1, 11):
+        monics = (list(t) + [1] for t in itertools.product((0, 1), repeat=k))
+        fields += [FiniteField(2, k, IntPolynomial(f)) for f in monics if _is_irreducible(f, 2)]
+    assert len(fields) == 250
+    assert all(_trace_mask(field) == trace_mask_by_newton_loop(field) for field in fields)
 
 
 @st.composite
