@@ -15,7 +15,7 @@ denominator splits into (1-ct) factors.
 
 Exit codes: 0 success, 1 failed check suite, else the code of the first
 row of _EXITS an error matches: 2 malformed input, 3 integrality failure,
-4 point-counting budget exceeded, 5 precision shortfall, the stderr
+4 budget exceeded or out of memory, 5 precision shortfall, the stderr
 document adding the error's degree, required or budget when set.  The
 variable WITTZETA_ENUM_BUDGET overrides the default point-counting budget.
 Integers in these documents carry up to _WIRE_DIGITS digits, past CPython's
@@ -400,7 +400,7 @@ _parser = functools.cache(build_parser)  # built on the first main call, reused 
 # (type, code, kind), the first match wins: SpecError is a ValueError; OverflowError, a size past the index range
 _EXITS = ((IntegralityError, 3, "integrality-failure"), (BudgetError, 4, "budget-exceeded"),
           (PrecisionError, 5, "precision-shortfall"), (ValueError, 2, "malformed-input"),
-          (OverflowError, 2, "malformed-input"))
+          (OverflowError, 2, "malformed-input"), (MemoryError, 4, "budget-exceeded"))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

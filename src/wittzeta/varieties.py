@@ -8,9 +8,10 @@ user-supplied count tables verbatim.  An elliptic num needs the trace over
 F_p: up to p = 229 from the affine points counted over F_p, above it from a
 baby-step giant-step search on the twists of E by the values f(x), which
 stops only when one value of #E is left in the Hasse interval, so it is
-exact; Mestre's theorem makes it stop.  One ``closed_expansion`` of the form
-gives Z(X, t) at Q = q and, by Macdonald's formula, N_r(Sym^n X) as its u^n
-coefficient at Q = q^r; any other ``SymPower(X, n)`` ghost-inverts X's counts.
+exact; Mestre's theorem makes it stop.  ``closed_expansions`` yields the form
+over F_{q^r}, r = 1, 2, ...: Z(X, t) is its first row and, by Macdonald's
+formula, N_r(Sym^n X) the u^n coefficient of its r-th row.  Sym^0 X is a
+point; any other ``SymPower(X, n)`` ghost-inverts X's counts.
 
 The module also hosts the enumeration oracle for symmetric powers: count
 the points over F_{q^{rd}} for d = 1..dmax (an elliptic curve by the parity
@@ -356,7 +357,7 @@ def closed_form(spec: VarietySpec, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[t
 
     A^d is 1/(1 - q^d t), P^d is 1/((1 - t)...(1 - q^d t)), and E is
     (1 - a*t + p*t^2)/((1 - t)(1 - p*t)) with a from ``elliptic_trace``.
-    ``closed_expansion`` is the one reader of this format."""
+    ``closed_expansions`` is the one reader of this format."""
     if isinstance(spec, AffineSpace):
         return (1,), spec.dim, spec.dim
     if isinstance(spec, ProjectiveSpace):
@@ -366,46 +367,47 @@ def closed_form(spec: VarietySpec, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[t
     return None
 
 
-def closed_expansion(num: Sequence[int], Q: int, lo: int, hi: int, n: int) -> list[int]:
-    """u^0..u^n of num(u) / prod_{lo<=i<=hi} (1 - Q^i u): the one expansion of a ``closed_form``.
+def closed_expansions(form: tuple[tuple[int, ...], int, int], q: int, n: int, rmax: int) -> Iterator[list[int]]:
+    """u^0..u^n of Z(X/F_(q^r), u) for r = 1..rmax, from X's ``closed_form`` (num, lo, hi) over F_q.
 
-    One or two factors (hi - lo <= 1) go into num one at a time, h_k += Q^i h_(k-1), with no division.
-    More are P^d's (d = hi >= 2), by Gaussian quotients h_k = [d+k choose k]_Q = h_(k-1) (Q^(d+k) - 1) /
-    (Q^k - 1): that branch holds for num = 1, lo = 0 only."""
-    h = (list(num) + [0] * n)[: n + 1]
-    if hi - lo <= 1:
-        for c in (Q**i for i in range(lo, hi + 1)):
+    Z(X/F_(q^r), u) = (1 - s_r u + c_2^r u^2) / prod_{lo<=i<=hi} (1 - Q^i u), Q = q^r: s_r is the power sum of the
+    reciprocal roots of num = 1 + c_1 t + c_2 t^2 (s_0 = deg num, s_1 = -c_1, s_r = -c_1 s_(r-1) - c_2 s_(r-2)),
+    checked against the Weil bound s_r^2 <= (deg num)^2 Q.  One or two factors (hi - lo <= 1) go in one at a time,
+    h_k += Q^i h_(k-1), with no division; more are P^d's (num = 1, lo = 0, d = hi >= 2), by Gaussian quotients
+    h_k = [d+k choose k]_Q = h_(k-1) (Q^(d+k) - 1) / (Q^k - 1)."""
+    num, lo, hi = form
+    c1, c2 = (num + (0, 0))[1:3]
+    deg, Q, c2r = len(num) - 1, 1, 1
+    s_prev, s = deg, -c1
+    for r in range(1, rmax + 1):
+        Q, c2r = Q * q, c2r * c2
+        if s * s > deg * deg * Q:
+            raise InconsistentCountsError(f"Weil bound violated at r={r}: |trace| exceeds {deg}*q^(r/2)")
+        h = ([1, -s, c2r] + [0] * n)[: n + 1]
+        if hi - lo <= 1:
+            for c in (Q**i for i in range(lo, hi + 1)):
+                for k in range(1, n + 1):
+                    h[k] += c * h[k - 1]
+        else:
             for k in range(1, n + 1):
-                h[k] += c * h[k - 1]
-    else:
-        for k in range(1, n + 1):
-            h[k] = h[k - 1] * (Q ** (hi + k) - 1) // (Q**k - 1)
-    return h
+                h[k] = h[k - 1] * (Q ** (hi + k) - 1) // (Q**k - 1)
+        yield h
+        s_prev, s = s, -c1 * s - c2 * s_prev
 
 
 def point_counts(spec: VarietySpec, rmax: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointCounts:
     """N_1..N_rmax for the given variety, exactly.
 
-    A closed form num(t) / prod_{lo<=i<=hi} (1 - q^i t) gives Sym^n X (X itself is n = 1) by Macdonald's
-    formula: N_r(Sym^n X) is the u^n coefficient of Z(X/F_{q^r}, u) = (1 - s_r u + c_2^r u^2) / prod_i
-    (1 - q^(ir) u), the ``closed_expansion`` that ``zeta.spec_zeta`` runs at r = 1.  s_r is the power sum of
-    the reciprocal roots of num = 1 + c_1 t + c_2 t^2 (s_0 = deg num, s_1 = -c_1, s_r = -c_1 s_(r-1) - c_2 s_(r-2)),
-    checked against the Weil bound s_r^2 <= (deg num)^2 q^r at every r.  Sym^n of any other X reads X's counts
-    to range n*rmax through ``sym_power_counts``."""
+    A closed form gives Sym^n X (X itself is n = 1) by Macdonald's formula: N_r(Sym^n X) is the u^n coefficient
+    of Z(X/F_{q^r}, u), the r-th row of ``closed_expansions``, whose first row ``zeta.spec_zeta`` reads.  Sym^0 X is
+    a point.  Sym^n of any other X reads X's counts to range n*rmax through ``sym_power_counts``."""
     if rmax < 1:
         raise ValueError("count range must be at least 1")
     base, n = (spec.spec, spec.n) if isinstance(spec, SymPower) else (spec, 1)
-    if (form := closed_form(base, budget) if n else ((1,), 0, 0)) is not None:  # Sym^0 X is a point, A^0
-        num, lo, hi = form
-        c1, c2 = (num + (0, 0))[1:3]
-        deg, q, qr, counts = len(num) - 1, spec.q, 1, []
-        s_prev, s, c2r = deg, -c1, 1
-        for r in range(1, rmax + 1):
-            qr, c2r = qr * q, c2r * c2
-            if s * s > deg * deg * qr:
-                raise InconsistentCountsError(f"Weil bound violated at r={r}: |trace| exceeds {deg}*q^(r/2)")
-            counts.append(closed_expansion((1, -s, c2r), qr, lo, hi, n)[n])
-            s_prev, s = s, -c1 * s - c2 * s_prev
+    if n == 0:
+        counts = (1,) * rmax
+    elif (form := closed_form(base, budget)) is not None:
+        counts = tuple(h[n] for h in closed_expansions(form, spec.q, n, rmax))
     elif isinstance(spec, SymPower):
         counts = sym_power_counts(point_counts(base, n * rmax, budget), n, rmax).counts
     elif isinstance(spec, ProductSpec):
@@ -431,18 +433,15 @@ def base_change(counts: PointCounts, r: int) -> PointCounts:
 
 def _elliptic_affine_points(spec: EllipticCurve, field: FiniteField, budget: int) -> int:
     """The number of affine points of the curve over the field.  q is odd, so over x lie 1 point if
-    f(x) = x (x^2 + a) + b is 0, 2 if l = log_g f(x) is even and none if l is odd.  Over F_p f(x) is a
-    residue, read with a table of squares.  Over F_q it is read in logs off the field's tables at x = 0
+    f(x) = x (x^2 + a) + b is 0, 2 if l = log_g f(x) is even and none if l is odd.  Over F_p that is
+    1 + (f(x) | p), by Euler's criterion.  Over F_q it is read in logs off the field's tables at x = 0
     and at one x per Frobenius orbit (``_frobenius_orbits``), counted times the orbit's size: a and b
     lie in F_p, so f(x^p) = f(x)^p, and p is odd, so log f(x^p) = p l mod (q - 1) has l's parity."""
     _charge_budget(2 * field.size, budget)
     p, m = field.p, field.size - 1
     a, b = spec.a % p, spec.b % p
     if field.k == 1:
-        weight = [1] + [0] * m  # points over x by the residue f(x): 1 at 0, 2 at a nonzero square
-        for y in range(1, (p + 1) // 2):
-            weight[y * y % p] = 2
-        return sum(weight[(x * (x * x + a) + b) % p] for x in range(p))
+        return sum(1 + (e if e < 2 else -1) for e in (pow(x * (x * x + a) + b, (p - 1) // 2, p) for x in range(p)))
     _, log, zech = field._tables or field._build()
     la, lb = log[a], log[b]  # -1 for a zero coefficient, as log[0] = -1
     count = 1 if lb < 0 else 0 if lb % 2 else 2  # x = 0, where f(x) = b

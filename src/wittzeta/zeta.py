@@ -13,13 +13,13 @@ varieties, whose enumeration oracles use it and ``euler_product`` too;
 counts a_d must be nonnegative integers.  Their integrality is the
 ghost-image criterion, so a table that passes inverts integrally.
 ``spec_zeta`` needs no table for affine and projective spaces and elliptic
-curves: ``varieties.closed_expansion`` expands their ``varieties.closed_form``,
-num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t), in O(N) steps, and
-``rational_reconstruct`` recovers num/den by Berlekamp-Massey over ZZ.
+curves: the first row of ``varieties.closed_expansions`` expands their
+``varieties.closed_form``, num(t) * prod_{lo<=i<=hi} 1/(1 - q^i t), in O(N)
+steps, and ``rational_reconstruct`` recovers num/den by Berlekamp-Massey over ZZ.
 
 Symmetric powers are one more spec: ``sym_zeta`` is ``spec_zeta`` of
 ``varieties.SymPower(X, n)``, which inverts its counts.  Macdonald's formula
-reads them off X's closed form by the same expansion at Q = q^r, or else the
+reads them as the u^n coefficient of that generator's r-th row, or else the
 ghost inversions of X's counts (N_r, N_2r, ..., N_nr) give them.
 Applying the Witt-level sigma operation to Z(X, t), known by its counts
 alone (an unrealized vector), then packages every symmetric power at once:
@@ -37,7 +37,7 @@ from .errors import PrecisionError, ReconstructionError
 from .finitefield import DEFAULT_ENUM_BUDGET
 from .rings import IntPolynomial, TruncatedSeries, ZZ
 from .sigma import sigma_witt
-from .varieties import PointCounts, SymPower, VarietySpec, closed_expansion, closed_form, closed_point_degree_counts
+from .varieties import PointCounts, SymPower, VarietySpec, closed_expansions, closed_form, closed_point_degree_counts
 from .varieties import euler_product, point_counts, sym_power_counts  # noqa: F401 (sym_power_counts is re-exported)
 from .witt import GhostVector, WittVector, ghost_inverse
 
@@ -51,14 +51,13 @@ def zeta_from_counts(counts: PointCounts, prec: int) -> WittVector:
 
 
 def spec_zeta(spec: VarietySpec, prec: int, budget: int = DEFAULT_ENUM_BUDGET) -> WittVector:
-    """Z(X, t) to precision N: ``closed_expansion`` of ``closed_form`` at Q = q where there is one, else
+    """Z(X, t) to precision N: the first row of ``closed_expansions`` of ``closed_form`` where there is one, else
     ``zeta_from_counts``.  ``closed_form`` charges the budget for E's trace."""
     if prec < 1:
         raise ValueError("precision must be at least 1")
     if (form := closed_form(spec, budget)) is None:
         return zeta_from_counts(point_counts(spec, prec, budget), prec)
-    num, lo, hi = form
-    return WittVector(TruncatedSeries(ZZ, closed_expansion(num, spec.q, lo, hi, prec)))
+    return WittVector(TruncatedSeries(ZZ, next(closed_expansions(form, spec.q, prec, 1))))
 
 
 def _prime_factors(n: int) -> list[int]:

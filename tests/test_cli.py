@@ -536,12 +536,13 @@ EXIT_ROWS = [
      '{"error": {"code": "precision-shortfall", "message": "no match", "required": 9}}'),
     (ValueError("bad value"), 2, '{"error": {"code": "malformed-input", "message": "bad value"}}'),
     (OverflowError("too large"), 2, '{"error": {"code": "malformed-input", "message": "too large"}}'),
+    (MemoryError(), 4, '{"error": {"code": "budget-exceeded", "message": ""}}'),
 ]
 
 
 @pytest.mark.parametrize("error, code, line", EXIT_ROWS,
                          ids=["spec", "integrality", "integrality-no-degree", "inconsistent-counts", "budget",
-                              "precision", "reconstruction", "value", "overflow"])
+                              "precision", "reconstruction", "value", "overflow", "memory"])
 def test_each_error_exits_with_its_documented_code_and_line(capsys, monkeypatch, error, code, line):
     def raise_error(*args):
         raise error

@@ -1,9 +1,9 @@
 """Sym^n counts by Macdonald's formula against the ghost route and brute multisets.
 
 ``point_counts(SymPower(X, n), R)`` reads N_r(Sym^n X) off X's closed form
-num(t) / prod_{lo<=i<=hi} (1 - q^i t) as the u^n coefficient of
-``closed_expansion`` of (1 - s_r u + c_2^r u^2) / prod_i (1 - q^(ir) u), the
-expansion ``spec_zeta`` runs at r = 1 (P^d, d >= 2, by Gaussian quotients).
+num(t) / prod_{lo<=i<=hi} (1 - q^i t) as the u^n coefficient of the r-th row
+of ``closed_expansions``, (1 - s_r u + c_2^r u^2) / prod_i (1 - q^(ir) u),
+whose first row ``spec_zeta`` reads (P^d, d >= 2, by Gaussian quotients).
 The oracles are the route it replaced, ``sym_power_counts`` (the degree-n
 coefficient of the ghost inversion of X's counts N_r, N_2r, ..., N_nr), the
 Euler product over enumerated closed points (``brute_sym_count``), and the
@@ -118,6 +118,13 @@ def test_sym_power_of_a_spec_without_a_closed_form_reads_counts_to_n_times_r():
     with pytest.raises(PrecisionError) as info:
         point_counts(SymPower(table, 2), 2)
     assert info.value.required == 4
+
+
+def test_sym_0_is_a_point_and_reads_no_counts_of_the_base():
+    one_count = CountsSpec(4, (5,))  # N_2 on would raise PrecisionError
+    curve = EquationsSpec.from_strings(2, ("x", "y"), ("y^2 + y - x^3 - x",))  # enumerating it overruns budget 1
+    for spec in (one_count, curve, ProductSpec((one_count, ProjectiveSpace(1, 4)))):
+        assert point_counts(SymPower(spec, 0), 5, budget=1).counts == (1,) * 5
 
 
 def test_macdonald_route_runs_no_ghost_inversion(monkeypatch):

@@ -17,7 +17,9 @@ from wittzeta.varieties import (
     PointCounts,
     ProductSpec,
     ProjectiveSpace,
-    closed_expansion,
+    closed_expansions,
+    closed_form,
+    elliptic_trace,
     point_counts,
 )
 from wittzeta.witt import WittVector, ghost, teichmuller, witt_add, witt_one
@@ -288,13 +290,13 @@ LARGE_PRIMES = (5, 7, 229, 233, 10007, 99991, 10**6 + 3, 10**9 + 7, 10**12 + 39)
 
 
 @st.composite
-def two_factor_specs(draw):
-    """A^d (d <= 50), P^0, P^1, or E over F_p for p up to 10^12 + 39."""
+def expansion_specs(draw):
+    """A^d (d <= 50), P^d (d <= 6: both branches of the expansion), or E over F_p for p up to 10^12 + 39."""
     kind = draw(st.sampled_from(["affine", "projective", "elliptic"]))
     if kind == "affine":
         return AffineSpace(draw(st.integers(0, 50)), draw(st.sampled_from(PRIME_POWERS)))
     if kind == "projective":
-        return ProjectiveSpace(draw(st.integers(0, 1)), draw(st.sampled_from(PRIME_POWERS)))
+        return ProjectiveSpace(draw(st.integers(0, 6)), draw(st.sampled_from(PRIME_POWERS)))
     p = draw(st.sampled_from(LARGE_PRIMES))
     a, start = draw(st.integers(0, 50)) % p, draw(st.integers(0, 50))
     b = next(b for b in range(start, start + p) if (4 * a**3 + 27 * b**2) % p)
@@ -302,19 +304,22 @@ def two_factor_specs(draw):
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(spec=two_factor_specs(), prec=st.integers(1, 300))
-def test_two_factor_expansion_matches_the_gaussian_quotients(spec, prec):
+@given(spec=expansion_specs(), prec=st.integers(1, 300))
+def test_closed_expansions_match_the_gaussian_quotients(spec, prec):
     if isinstance(spec, AffineSpace):
-        lo, hi, num = spec.dim, spec.dim, lambda r: (1,)
+        lo, hi, nums = spec.dim, spec.dim, [(1,)] * 4
     elif isinstance(spec, ProjectiveSpace):
-        lo, hi, num = 0, spec.dim, lambda r: (1,)
-    else:  # Z(E/F_(p^r), u) has num_r = 1 - s_r u + p^r u^2, with s_r = p^r + 1 - N_r
-        counts = point_counts(spec, 4)
-        lo, hi, num = 0, 1, lambda r: (1, counts.count(r) - spec.p**r - 1, spec.p**r)
-    assert spec_zeta(spec, prec).series.coeffs == closed_form_by_gaussian_quotients(spec.q, lo, hi, num(1), prec)
-    for r in range(2, 5):  # the kernel at Q = q^r, as Macdonald's formula runs it for Sym^n counts over F_(q^r)
-        expansion = closed_expansion(num(r), spec.q**r, lo, hi, prec)
-        assert tuple(expansion) == closed_form_by_gaussian_quotients(spec.q**r, lo, hi, num(r), prec)
+        lo, hi, nums = 0, spec.dim, [(1,)] * 4
+    else:  # Z(E/F_(p^r), u) has num_r = 1 - s_r u + p^r u^2, s_r = alpha^r + beta^r, alpha + beta = a, alpha beta = p
+        a, p = elliptic_trace(spec), spec.p
+        s = [2, a]
+        for _ in range(3):
+            s.append(a * s[-1] - p * s[-2])
+        lo, hi, nums = 0, 1, [(1, -s[r], p**r) for r in range(1, 5)]
+    rows = list(closed_expansions(closed_form(spec), spec.q, prec, 4))
+    assert spec_zeta(spec, prec).series.coeffs == tuple(rows[0])
+    for r, (row, num) in enumerate(zip(rows, nums, strict=True), start=1):  # at Q = q^r, as Sym^n counts read them
+        assert tuple(row) == closed_form_by_gaussian_quotients(spec.q**r, lo, hi, num, prec)
 
 
 def test_spec_zeta_closed_forms_by_hand():
